@@ -18,9 +18,9 @@ GOFMT ?= gofmt
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: check test build fmt vet race bench benchsmoke ckptsmoke allocgate sinkgate mergesmoke scalegate lintgate lint faultgate storegate
+.PHONY: check test build fmt vet race bench benchsmoke ckptsmoke allocgate sinkgate mergesmoke scalegate lintgate lint faultgate storegate fuzzsmoke benchgate
 
-check: fmt vet build race lintgate allocgate sinkgate benchsmoke ckptsmoke mergesmoke scalegate faultgate storegate
+check: fmt vet build race lintgate allocgate sinkgate fuzzsmoke benchsmoke benchgate ckptsmoke mergesmoke scalegate faultgate storegate
 
 # Fail (and list the offenders) if any file is not gofmt-clean.
 fmt:
@@ -55,10 +55,11 @@ race:
 # allocates on paths the production build does not, so the counts are only
 # meaningful plain). Every pinned path — Tracker.Push,
 # StageFeatureExtractor.Push, Forest.PredictProbaInto, Rollup.Observe
-# (percentile sketch insertion included), Sketch.Add/Merge — must measure
-# 0 allocs/op.
+# (percentile sketch insertion included), Sketch.Add/Merge, packet.Summarize
+# (accepting and rejecting), and a shard's steady-state consume of one
+# batch — must measure 0 allocs/op.
 allocgate:
-	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/stageclass ./internal/rollup ./internal/sketch
+	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/packet ./internal/engine
 
 # The report-path allocation pins, same plain-build rule as allocgate: one
 # full emitter drain — shard report rings → Sink + BatchSink → sharded
@@ -68,6 +69,23 @@ allocgate:
 # the bench trajectory.
 sinkgate:
 	$(GO) test -run 'TestEmitterDrainAllocs|TestRollupObserveBatchAllocs' -count=1 ./internal/engine ./internal/rollup
+
+# A few seconds of native fuzzing on the ingest parser's differential
+# property: packet.Summarize errs iff packet.Decode errs, and otherwise
+# yields the summary the decode derives. The seed corpus (every frame shape
+# cut at every length) also runs as a plain test in every `go test`; this
+# step lets the mutator look past it.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 5s ./internal/packet
+
+# The benchmark harness lives in a module of its own (bench/, replacing
+# gamelens with ../), so tier-1 neither builds nor runs it: this is where an
+# internal/ API change that would stop it compiling — or fail its 1/16-scale
+# workloads' output checks — fails locally instead of in the benchmark
+# driver.
+benchgate:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # The engine scaling curve vs the single-threaded pipeline, the lifecycle
 # memory-bound comparison, the rollup report-stream hot path, and the

@@ -1,9 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md's per-experiment index). Each benchmark runs the
-// corresponding experiment end to end at a reduced-but-faithful size; run
-// cmd/experiments for the printed artifacts and EXPERIMENTS.md for the
-// paper-vs-measured comparison. The trailing ablation benches time the
-// design choices DESIGN.md calls out.
+// Benchmarks regenerating every table and figure of the paper's evaluation.
+// Each benchmark runs the corresponding experiment end to end at a
+// reduced-but-faithful size; run cmd/experiments for the printed artifacts.
+// The trailing ablation benches time the design choices
+// experiments.Ablations varies.
 package gamelens
 
 import (
@@ -296,8 +295,8 @@ func engineStream(b testing.TB) *gamesim.PacketStream {
 // EngineProducer — the engine's intended deployment shape (one reader per
 // capture port / RSS queue), where per-flow arrival order is preserved but
 // flows interleave freely. Frames go in raw (Producer.HandleFrame): the
-// reader's per-packet work is a five-tuple peek plus one copy into the
-// shard-bound arena, and decode runs on the shard worker's core.
+// reader parses each once into a fixed-size summary, and only summaries
+// cross to the shard workers.
 func replayParallel(st *gamesim.PacketStream, eng *Engine) {
 	var wg sync.WaitGroup
 	for i := range st.Flows {

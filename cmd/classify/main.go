@@ -5,11 +5,11 @@
 //
 // Analysis runs on the sharded multi-core engine: flows are hash-partitioned
 // across -shards worker pipelines (default: all cores). The reader hands
-// raw frames to an engine producer, which peeks only the five-tuple and
-// ships the bytes to the owning shard over a lock-free ring, so decode and
-// analysis both run on the shard cores and the reader does nothing but
-// read. Frames that fail to decode are counted (and reported at end of
-// run), not analyzed.
+// raw frames to an engine producer, which parses each once into a
+// fixed-size summary (five-tuple, direction, payload length) and ships
+// that — never the bytes — to the owning shard over a lock-free ring, so
+// the analysis runs on the shard cores. Frames that fail to parse are
+// counted (and reported at end of run), not analyzed.
 //
 // Models are trained on startup from the built-in traffic substrate with
 // -train-seed (or loaded with -title-model if a trained forest was exported
@@ -332,8 +332,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// One reader goroutine, one producer handle: frames go to their shard
-	// raw, and the shard worker decodes them.
+	// One reader goroutine, one producer handle: each frame is summarized
+	// here and the summary goes to its flow's shard.
 	p := eng.Producer()
 	frames := 0
 readLoop:

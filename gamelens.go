@@ -37,13 +37,14 @@
 // (Engine.Producer), which owns a private single-producer/single-consumer
 // batch ring to every shard plus a reverse ring recycling spent batches
 // back, so the steady state moves no locks and no garbage — just two
-// atomic word updates per batch. Each batch carries its packets' bytes in
-// a producer-filled arena whose ownership transfers wholesale to the shard
-// on push and returns on recycle. The cheapest ingest path is
-// EngineProducer.HandleFrame with the raw Ethernet frame: the producer
-// only peeks the five-tuple for routing and memcpys the frame into the
-// arena; full decode runs on the shard worker's core. Because flows are
-// independent and each flow's packets stay on one shard in arrival order,
+// atomic word updates per batch. No frame byte crosses a lane: the method
+// reads only the sizes, directions and timing of a flow's packets, so
+// EngineProducer.HandleFrame parses the raw Ethernet frame once on the
+// reader goroutine into a fixed-size summary (canonical five-tuple,
+// direction, payload length, RTP probe) and a batch is a run of
+// {timestamp, summary} values; the shard worker's per-packet work starts
+// at the flow lookup. Because flows are independent and each flow's
+// packets stay on one shard in arrival order,
 // an N-shard Engine reports exactly what a single Pipeline would on the
 // same capture — the property internal/engine's tests pin down. Use
 // Pipeline for offline single-capture analysis; use Engine when ingesting
@@ -62,8 +63,8 @@
 // report, EngineConfig.BatchSink per drained run — so a sink callback
 // never runs concurrently with itself, and a slow sink backs up only the
 // emitting shard's ring instead of stalling every worker behind a shared
-// lock. Report ownership follows the same borrow discipline as the batch
-// arenas. With EngineConfig.StreamOnly set (streaming is the sole
+// lock. Report ownership follows the same hand-over discipline as the
+// batches. With EngineConfig.StreamOnly set (streaming is the sole
 // delivery path), spent reports ride a reverse ring back to the emitting
 // shard's pipeline for reuse, so steady-state emission allocates nothing;
 // a sink that keeps anything past the callback must copy the
@@ -240,12 +241,14 @@
 // flow, forever — is allocation-free; garbage is confined to per-flow and
 // per-event edges. What allocates when:
 //
-//   - Per packet: nothing. Engine batches and their byte arenas recycle
-//     through each producer→shard lane's reverse ring (a batch's memory
-//     shuttles between exactly one producer and one shard forever), the
-//     pipeline's slot accounting mutates fixed per-flow state, and launch
-//     buffering appends into buffers recycled from previously decided
-//     flows.
+//   - Per packet: nothing. Engine batches (runs of fixed-size frame
+//     summaries) recycle through each producer→shard lane's reverse ring
+//     (a batch's memory shuttles between exactly one producer and one
+//     shard forever), the frame parse allocates on neither its accept nor
+//     its reject path, a packet finds its flow's detector record and
+//     session in one map lookup, the pipeline's slot accounting mutates
+//     fixed per-flow state, and launch buffering appends into buffers
+//     recycled from previously decided flows.
 //   - Per closed slot: nothing. stageclass.Tracker.Push runs the feature
 //     extractor, the stage forest, the transition matrix and the pattern
 //     forest entirely in tracker-owned scratch; QoE levels accumulate into
@@ -300,7 +303,7 @@
 //     finding (//gamelens:retain-ok escapes a documented transfer).
 //   - //gamelens:noalloc (noalloc analyzer) marks the allocation-free
 //     steady-state set — Sketch.Add, Rollup.Observe/ObserveBatch,
-//     Forest.PredictProbaInto, Decoded.RetainInto, the emitter drain —
+//     Forest.PredictProbaInto, packet.Summarize, the emitter drain —
 //     and rejects allocation-introducing constructs in them and their
 //     in-package callees (//gamelens:alloc-ok escapes a deliberate cold
 //     edge). The allocgate/sinkgate runtime pins stay the ground truth;
@@ -380,8 +383,8 @@ type (
 	// EngineStats are the engine-level counters.
 	EngineStats = engine.Stats
 	// EngineProducer is a single-goroutine ingest handle with lock-free
-	// lanes to every shard (Engine.Producer); the zero-copy raw-frame path
-	// is EngineProducer.HandleFrame.
+	// lanes to every shard (Engine.Producer); the raw-frame path is
+	// EngineProducer.HandleFrame.
 	EngineProducer = engine.Producer
 	// SessionReport summarizes one streaming flow.
 	SessionReport = core.SessionReport

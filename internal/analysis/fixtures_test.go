@@ -136,7 +136,7 @@ func TestRepoDirectivesKnown(t *testing.T) {
 		"gamelens/internal/sketch.Sketch.Add":                   "noalloc",
 		"gamelens/internal/rollup.Rollup.Observe":               "noalloc",
 		"gamelens/internal/mlkit.Forest.PredictProbaInto":       "noalloc",
-		"gamelens/internal/packet.Decoded.RetainInto":           "noalloc",
+		"gamelens/internal/packet.Summarize":                    "noalloc",
 		"gamelens/internal/engine.Engine.drainReports":          "noalloc",
 		"gamelens/cmd/experiments.main":                         "wallclock-ok",
 	} {

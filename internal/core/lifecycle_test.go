@@ -369,3 +369,120 @@ func TestEvictionKeepsSlotAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictedFlowResumesFresh pins what eviction does to the detector entry
+// that carries a flow's session: a five-tuple that falls silent past the
+// TTL and then resumes is a new flow — a fresh Flow record and a fresh
+// session, judged from scratch — and the report delivered for the evicted
+// one keeps pointing at the old record, which nothing writes again.
+func TestEvictedFlowResumesFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	tm, sm := models(t)
+	st := lifecycleStream(t, 1, 20*time.Second, 0)
+
+	var delivered []*SessionReport
+	p := New(Config{FlowTTL: 10 * time.Second, Sink: func(r *SessionReport) {
+		delivered = append(delivered, r)
+	}}, tm, sm)
+	play := func(start time.Time) (fs *FlowSession, fed int) {
+		t.Helper()
+		if err := gamesim.ReplayFlow(st.Flows[0], st.Eps[0], start, func(ts time.Time, dec *packet.Decoded, payload []byte) {
+			if s := p.HandlePacket(ts, dec, payload); s != nil {
+				fs = s
+			}
+			fed++
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fs == nil {
+			t.Fatal("flow never judged gaming")
+		}
+		return fs, fed
+	}
+
+	first, fed := play(st.Starts[0])
+	oldFlow := first.Flow
+	if len(delivered) != 0 {
+		t.Fatalf("%d reports before the flow went idle", len(delivered))
+	}
+	resumed := st.Starts[0].Add(time.Minute)
+	second, _ := play(resumed)
+
+	if len(delivered) != 1 || !delivered[0].Evicted {
+		t.Fatalf("delivered %d reports (want the one eviction): %v", len(delivered), delivered)
+	}
+	if delivered[0].Flow != oldFlow {
+		t.Error("the evicted session's report does not point at its own Flow record")
+	}
+	if got := oldFlow.DownPkts + oldFlow.UpPkts; got != fed || !oldFlow.FirstSeen.Equal(st.Starts[0].Add(st.Flows[0][0].T)) {
+		t.Errorf("evicted Flow record changed after eviction: %d packets from %v, fed %d", got, oldFlow.FirstSeen, fed)
+	}
+	if second == first || second.Flow == oldFlow {
+		t.Fatal("resumed flow reused the evicted session or Flow record")
+	}
+	if !second.Start.Equal(second.Flow.FirstSeen) || second.Start.Before(resumed) {
+		t.Errorf("resumed session starts at %v (flow first seen %v), want at or after %v", second.Start, second.Flow.FirstSeen, resumed)
+	}
+	if got := second.Flow.DownPkts + second.Flow.UpPkts; got != fed {
+		t.Errorf("resumed Flow record counts %d packets, want its own %d", got, fed)
+	}
+	if p.CreatedFlows() != 2 || p.EvictedFlows() != 1 || p.NumFlows() != 1 || p.DetectorFlows() != 1 {
+		t.Errorf("created=%d evicted=%d live=%d detector=%d, want 2, 1, 1, 1",
+			p.CreatedFlows(), p.EvictedFlows(), p.NumFlows(), p.DetectorFlows())
+	}
+}
+
+// TestReorderedFlowKeepsSession pins the one way a live session can lose
+// its detector entry: a late-stamped packet regresses the Flow record's
+// LastSeen (the session's never regresses), so the sweep expires the record
+// but not the session. When the flow re-earns its verdict on a new record,
+// the session the sweep still holds carries on — no second session, no
+// second report.
+func TestReorderedFlowKeepsSession(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	tm, sm := models(t)
+	p := New(Config{FlowTTL: 10 * time.Second}, tm, sm)
+	base := time.Date(2026, 5, 1, 8, 0, 0, 0, time.UTC)
+	video := make([]byte, 1000)
+	video[0] = 0x80 // RTP version 2
+	var down, other packet.Decoded
+	down.HasIP4, down.HasUDP = true, true
+	down.IP4.Src, down.IP4.Dst = netipAddr(203, 0, 113, 7), netipAddr(10, 0, 0, 9)
+	down.UDP.SrcPort, down.UDP.DstPort = 49003, 50001
+	other.HasIP4, other.HasTCP = true, true
+	other.IP4.Src, other.IP4.Dst = netipAddr(192, 0, 2, 1), netipAddr(10, 0, 0, 9)
+	feed := func(at time.Duration) *FlowSession { return p.HandlePacket(base.Add(at), &down, video) }
+
+	var fs *FlowSession
+	for i := 0; i < 300; i++ {
+		fs = feed(time.Duration(i) * 3 * time.Millisecond)
+	}
+	if fs == nil {
+		t.Fatal("flow never judged gaming")
+	}
+	for at := time.Second; at <= 20*time.Second; at += 500 * time.Millisecond {
+		feed(at)
+	}
+	feed(5 * time.Second) // delivered late: the record's LastSeen regresses
+	p.HandlePacket(base.Add(23*time.Second), &other, nil)
+	if p.NumFlows() != 1 || p.DetectorFlows() != 0 {
+		t.Fatalf("after the sweep: %d sessions, %d detector flows; want the session without its record", p.NumFlows(), p.DetectorFlows())
+	}
+	var again *FlowSession
+	for i := 0; i < 300; i++ {
+		again = feed(23*time.Second + time.Duration(i)*3*time.Millisecond)
+	}
+	if again != fs {
+		t.Fatalf("resumed flow got session %p, want the live one %p", again, fs)
+	}
+	if p.CreatedFlows() != 1 || p.NumFlows() != 1 {
+		t.Errorf("created=%d live=%d, want 1 and 1", p.CreatedFlows(), p.NumFlows())
+	}
+	if reports := p.Finish(); len(reports) != 1 {
+		t.Errorf("%d reports, want 1", len(reports))
+	}
+}

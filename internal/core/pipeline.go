@@ -75,11 +75,13 @@ func (c Config) withDefaults() Config {
 // independent).
 type Pipeline struct {
 	cfg    Config
-	det    *flowdetect.Detector
+	det    *flowdetect.Table[FlowSession]
 	titles *titleclass.Classifier
 	stages *stageclass.Classifier
-	flows  map[packet.FlowKey]*FlowSession
-	lc     lifecycle
+	// flows indexes the live sessions for the sweep and Finish; the packet
+	// path reaches a session through its detector entry instead.
+	flows map[packet.FlowKey]*FlowSession
+	lc    lifecycle
 
 	// Hoisted per-slot constants: closeSlot runs once per native slot per
 	// flow, so the config lookups it used to repeat live here instead.
@@ -108,7 +110,7 @@ func New(cfg Config, titles *titleclass.Classifier, stages *stageclass.Classifie
 	}
 	return &Pipeline{
 		cfg:     cfg,
-		det:     flowdetect.New(cfg.Filter),
+		det:     flowdetect.NewTable[FlowSession](cfg.Filter),
 		titles:  titles,
 		stages:  stages,
 		flows:   make(map[packet.FlowKey]*FlowSession),
@@ -216,23 +218,51 @@ func (r *SessionReport) String() string {
 }
 
 // HandlePacket feeds one decoded frame. Returns the flow session when the
-// frame belongs to a detected cloud-gaming flow, else nil.
+// frame belongs to a detected cloud-gaming flow, else nil. It is
+// HandleSummary of the frame's summary; callers holding raw frames get there
+// directly through packet.Summarize.
+func (p *Pipeline) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byte) *FlowSession {
+	var s packet.Summary
+	dec.SummaryInto(payload, &s)
+	return p.HandleSummary(ts, &s)
+}
+
+// HandleSummary feeds one frame summary. Returns the flow session when the
+// frame belongs to a detected cloud-gaming flow, else nil. The detector's
+// table entry carries the session, so a packet costs one map lookup.
 //
 // Every frame advances the packet clock, and when FlowTTL is configured a
 // due eviction sweep runs before the frame is processed — so idle flows are
 // evicted by any traffic at the tap, not only by their own packets.
-func (p *Pipeline) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byte) *FlowSession {
+func (p *Pipeline) HandleSummary(ts time.Time, s *packet.Summary) *FlowSession {
 	if p.lc.observe(ts) {
 		p.sweep()
 	}
-	state := p.det.Observe(ts, dec, payload)
-	if state != flowdetect.Gaming {
+	f, fs := p.det.ObserveSummary(ts, s)
+	if f == nil || f.State != flowdetect.Gaming {
 		return nil
 	}
-	key := dec.Flow().Canonical()
-	fs := p.flows[key]
 	if fs == nil {
-		f := p.det.Flow(key)
+		fs = p.adopt(f)
+	}
+	// Guard against intra-flow timestamp reordering (multi-queue taps):
+	// an older packet must not regress LastSeen and age the flow toward
+	// eviction it hasn't earned.
+	if ts.After(fs.LastSeen) {
+		fs.LastSeen = ts
+	}
+	p.feed(fs, ts, s)
+	return fs
+}
+
+// adopt gives a flow the detector has just judged Gaming its session and
+// hangs it on the detector's entry. The session is normally new; it already
+// exists only when reordered timestamps let the detector expire the flow's
+// record under a session the sweep still holds live, and the resumed flow
+// has re-earned its verdict — that session carries on.
+func (p *Pipeline) adopt(f *flowdetect.Flow) *FlowSession {
+	fs := p.flows[f.Key]
+	if fs == nil {
 		fs = &FlowSession{
 			Flow:    f,
 			Start:   f.FirstSeen,
@@ -242,28 +272,22 @@ func (p *Pipeline) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byt
 			fs.launchBuf = p.launchFree[n-1]
 			p.launchFree = p.launchFree[:n-1]
 		}
-		p.flows[key] = fs
+		p.flows[f.Key] = fs
 		p.lc.created++
 	}
-	// Guard against intra-flow timestamp reordering (multi-queue taps):
-	// an older packet must not regress LastSeen and age the flow toward
-	// eviction it hasn't earned.
-	if ts.After(fs.LastSeen) {
-		fs.LastSeen = ts
-	}
-	p.feed(fs, ts, dec, payload)
+	p.det.Attach(f.Key, fs)
 	return fs
 }
 
 // feed routes one payload record into the per-flow state.
-func (p *Pipeline) feed(fs *FlowSession, ts time.Time, dec *packet.Decoded, payload []byte) {
+func (p *Pipeline) feed(fs *FlowSession, ts time.Time, s *packet.Summary) {
 	offset := ts.Sub(fs.Start)
 	dir := trace.Up
-	if dec.SrcPort() == fs.Flow.ServerPort {
+	if s.SrcPort() == fs.Flow.ServerPort {
 		dir = trace.Down
-		fs.bytesDown += int64(len(payload))
+		fs.bytesDown += int64(s.PayloadLen)
 	}
-	rec := trace.Pkt{T: offset, Dir: dir, Size: len(payload)}
+	rec := trace.Pkt{T: offset, Dir: dir, Size: s.PayloadLen}
 
 	// Launch buffer for title classification.
 	if offset < p.window+time.Second {
@@ -278,7 +302,7 @@ func (p *Pipeline) feed(fs *FlowSession, ts time.Time, dec *packet.Decoded, payl
 		p.closeSlot(fs)
 	}
 	if idx == fs.slotIdx {
-		fs.curSlot.Add(dir, len(payload))
+		fs.curSlot.Add(dir, s.PayloadLen)
 	}
 }
 

@@ -11,27 +11,28 @@
 // The handoff between ingest and shards is built from single-producer/
 // single-consumer rings, not locks. Each ingest goroutine holds a Producer
 // (Engine.Producer), and each producer owns a private lane — a lock-free
-// SPSC ring pair — to every shard. Packets accumulate in a producer-local
-// pending batch whose byte arena carries the variable-length data (raw
-// frame bytes on the HandleFrame path, retained payload/options on the
-// HandlePacket path); a full batch moves to the shard worker as one ring
-// slot write. Producers therefore never contend with each other on any
-// lock or cache line, and adding shards adds throughput instead of
-// serializing on a shared mutex.
+// SPSC ring pair — to every shard. What crosses a lane is never a frame:
+// the paper's method reads only the sizes, directions and timing of a
+// flow's packets, so the producer reduces each frame to a packet.Summary
+// (canonical five-tuple, direction, payload length, RTP probe, is-UDP) and
+// appends {timestamp, summary} to a producer-local pending batch; a full
+// batch moves to the shard worker as one ring slot write. Producers
+// therefore never contend with each other on any lock or cache line, and
+// adding shards adds throughput instead of serializing on a shared mutex.
 //
-// Arena ownership follows the ...Into borrow convention: the producer owns
-// a batch's arena while filling it, ownership transfers wholesale to the
-// shard worker at the ring push, and the worker returns the emptied batch
-// through the lane's free ring when the pipeline is done borrowing from it
-// (the pipeline never retains its input buffers past HandlePacket). At
-// every instant exactly one goroutine may touch a batch, so no byte is
-// ever copied defensively between producer and shard.
+// Batch ownership: the producer owns a batch while filling it, ownership
+// transfers wholesale to the shard worker at the ring push, and the worker
+// returns the emptied batch through the lane's free ring once it has
+// replayed the entries into its pipeline. At every instant exactly one
+// goroutine may touch a batch, and its entries are plain values with no
+// view into any capture buffer, so nothing is ever copied defensively.
 //
-// The cheapest ingest path is HandleFrame: the producer peeks only the
-// five-tuple from the raw frame (packet.PeekFlow), memcpys the frame into
-// the arena, and full decode happens on the shard worker's core — the
-// per-packet producer cost is a header peek, a hash, and one bounded copy.
-// HandlePacket remains for callers that already decoded.
+// HandleFrame parses the raw frame once, on the producer's goroutine
+// (packet.Summarize — a single pass over the headers, ~16 ns); a frame that
+// fails to parse is counted there (Stats.DecodeErrors) and goes no further.
+// HandlePacket serves callers that already decoded, summarizing their
+// packet.Decoded. Either way the shard's per-packet work starts at the flow
+// lookup.
 //
 // Engine.HandlePacket/HandleFrame are the legacy shared entry points: they
 // feed one engine-internal producer under a per-shard lock, preserving the
@@ -200,15 +201,16 @@ type Stats struct {
 	// PacketsIn counts every frame handed to HandlePacket/HandleFrame,
 	// across all producers.
 	PacketsIn int64
-	// Processed counts packets the shard workers have consumed; after
-	// Finish, Processed + Dropped == PacketsIn. Frames that fail decode on
-	// the worker are consumed (and counted here) too — see DecodeErrors.
+	// Processed counts packets consumed: those the shard workers have
+	// replayed into their pipelines plus the frames rejected at ingest (see
+	// DecodeErrors), so after Finish, Processed + Dropped == PacketsIn.
 	Processed int64
 	// Dropped counts packets shed under DropOverload.
 	Dropped int64
-	// DecodeErrors counts raw frames (HandleFrame path) the shard worker
-	// could not decode; they are dropped silently, as a capture loop
-	// skipping malformed frames would.
+	// DecodeErrors counts raw frames (HandleFrame path) that failed to
+	// parse — exactly the frames packet.Decode rejects. The producer counts
+	// them as it meets them and they are dropped silently, as a capture
+	// loop skipping malformed frames would.
 	DecodeErrors int64
 	// ActiveFlows is the number of live (post-eviction) gaming flows
 	// across all shards — the number actually resident in memory, which a
@@ -254,12 +256,12 @@ type Stats struct {
 	//
 	// Coherence invariant: each shard's ShardFlows entry and its share of
 	// EvictedFlows are sampled in one atomic read, published together by
-	// the shard worker after every batch. A live read can therefore trail
-	// the queue, but it can never catch a flow mid-eviction: per shard,
-	// live + evicted always equals the number of flows the shard had
-	// created at a single sampling instant, which is what keeps Flows()
-	// free of double counting (and monotonic) while evictions race the
-	// read.
+	// the shard worker whenever a batch changed either. A live read can
+	// therefore trail the queue, but it can never catch a flow
+	// mid-eviction: per shard, live + evicted always equals the number of
+	// flows the shard had created at a single sampling instant, which is
+	// what keeps Flows() free of double counting (and monotonic) while
+	// evictions race the read.
 	ShardFlows []int
 	// ShardBatch is each shard's current adaptive batch threshold, in
 	// packets (== BatchSize when adaptation is disabled or the link runs
@@ -289,38 +291,22 @@ type paddedInt64 struct {
 	_ [56]byte
 }
 
-// pkt is one queued decoded packet. Its variable-length views — payload,
-// then any IPv4/TCP options — were retained into the owning batch's arena
-// by the producer (packet.Decoded.RetainInto), so dec is self-contained
-// relative to the batch: handing the batch across the ring hands the bytes
-// with it, and the worker replays it with zero further copies.
-type pkt struct {
+// entry is one queued packet: its capture timestamp and the summary the
+// producer reduced its frame to. A plain value — handing a batch across the
+// ring hands over everything the shard will read.
+type entry struct {
 	ts  time.Time
-	dec packet.Decoded
+	sum packet.Summary
 }
 
-// frameRef is one queued raw frame: n bytes at off in the owning batch's
-// arena. The shard worker decodes it into a worker-local scratch, so the
-// producer never pays the decode (or the decode's option copies).
-type frameRef struct {
-	ts     time.Time
-	off, n int
-}
-
-// batch is the unit of shard handoff: a run of packets — decoded pkts or
-// raw frameRefs, never both — plus one contiguous arena carrying their
-// bytes, so a batch costs a single ring-slot write regardless of packet
-// count. The arena never grows while entries reference it (growth would
-// relocate the backing array out from under retained slices); a producer
-// flushes instead. A batch with a non-zero expire is a control message: the
-// worker advances its pipeline's lifecycle clock to that instant and
-// sweeps, which is how eviction reaches a shard whose own traffic has gone
-// quiet.
+// batch is the unit of shard handoff: a run of entries, so a batch costs a
+// single ring-slot write regardless of packet count. A batch with a
+// non-zero expire is a control message: the worker advances its pipeline's
+// lifecycle clock to that instant and sweeps, which is how eviction reaches
+// a shard whose own traffic has gone quiet.
 type batch struct {
-	pkts   []pkt
-	frames []frameRef
-	buf    []byte
-	expire time.Time
+	entries []entry
+	expire  time.Time
 }
 
 // shardCounts is one shard's flow accounting, published as a unit: live and
@@ -343,10 +329,6 @@ type shard struct {
 	// receive can never strand the worker asleep.
 	wake   chan struct{}
 	closed atomic.Bool
-	// dec is the worker's decode scratch for raw frames: one Decoded reused
-	// across every frame the shard consumes (the pipeline never retains its
-	// input), so the frame path decodes with zero allocations.
-	dec packet.Decoded
 
 	// reports is the shard's emission lane: the shard pipeline's sink
 	// pushes finalized reports here (producer: the worker, then Finish
@@ -359,13 +341,12 @@ type shard struct {
 	reportFree *spscRing[*core.SessionReport]
 
 	// counts is the worker's atomically published {live, evicted} pair
-	// (nil until the first batch drains). Publishing both in one store is
+	// (nil until a batch first changes it). Publishing both in one store is
 	// what keeps Stats.Flows() coherent: sampling them separately would
 	// let a live read race an eviction and count the moving flow twice (or
 	// drop it), depending on which column was read first.
-	counts     atomic.Pointer[shardCounts]
-	processed  paddedInt64 // worker-written; padded away from producer-written effBatch
-	decodeErrs atomic.Int64
+	counts    atomic.Pointer[shardCounts]
+	processed paddedInt64 // worker-written; padded away from producer-written effBatch
 	// effBatch mirrors the adaptive batch threshold of whichever producer
 	// last routed traffic here, for Stats.ShardBatch. Producer-written, so
 	// it sits on its own line away from the worker's counters.
@@ -393,13 +374,16 @@ func (s *shard) wakeUp() {
 	}
 }
 
-// publish snapshots the pipeline's flow accounting into the atomic pair.
-// Called only from the shard's worker goroutine (the pipeline's owner).
+// publish snapshots the pipeline's flow accounting into the atomic pair —
+// only when it moved, so the batches between flow births and evictions
+// (nearly all of them) publish without allocating. Called only from the
+// shard's worker goroutine (the pipeline's owner).
 func (s *shard) publish() {
-	s.counts.Store(&shardCounts{
-		live:    int64(s.pipe.NumFlows()),
-		evicted: s.pipe.EvictedFlows(),
-	})
+	c := shardCounts{live: int64(s.pipe.NumFlows()), evicted: s.pipe.EvictedFlows()}
+	if c != s.load() {
+		moved := c // the escaping copy, made only on this branch
+		s.counts.Store(&moved)
+	}
 }
 
 // load returns the last published pair (zero before any batch).
@@ -587,10 +571,7 @@ func (s *shard) drain() int {
 	return total
 }
 
-// consume replays one batch into the shard pipeline and recycles it. The
-// batch's entries are self-contained in its arena: decoded pkts were
-// retained by the producer, raw frames are decoded here into the worker's
-// scratch — on this core, off the producer's critical path.
+// consume replays one batch into the shard pipeline and recycles it.
 func (s *shard) consume(q *queue, b batch) {
 	s.reclaim() // recycled reports back to the pipeline before it finalizes more
 	if !b.expire.IsZero() {
@@ -598,23 +579,13 @@ func (s *shard) consume(q *queue, b batch) {
 		s.publish()
 		return
 	}
-	for i := range b.pkts {
-		p := &b.pkts[i]
-		s.pipe.HandlePacket(p.ts, &p.dec, p.dec.Payload)
-	}
-	for i := range b.frames {
-		f := &b.frames[i]
-		if err := packet.Decode(b.buf[f.off:f.off+f.n], &s.dec); err != nil {
-			s.decodeErrs.Add(1)
-			continue
-		}
-		s.pipe.HandlePacket(f.ts, &s.dec, s.dec.Payload)
+	for i := range b.entries {
+		e := &b.entries[i]
+		s.pipe.HandleSummary(e.ts, &e.sum)
 	}
 	s.publish()
-	s.processed.v.Add(int64(len(b.pkts) + len(b.frames)))
-	b.pkts = b.pkts[:0]
-	b.frames = b.frames[:0]
-	b.buf = b.buf[:0]
+	s.processed.v.Add(int64(len(b.entries)))
+	b.entries = b.entries[:0]
 	q.free.push(b) // sized so this cannot fail; see newQueue
 }
 
@@ -623,10 +594,14 @@ func (s *shard) consume(q *queue, b batch) {
 // runs and processes: the same flow always lands on the same shard of an
 // N-shard engine.
 func ShardIndex(key packet.FlowKey, shards int) int {
+	return shardOf(key.Canonical(), shards)
+}
+
+// shardOf is ShardIndex of a key that is already canonical (a summary's).
+func shardOf(key packet.FlowKey, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	key = key.Canonical()
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -660,9 +635,8 @@ func ShardIndex(key packet.FlowKey, shards int) int {
 }
 
 // HandlePacket routes one decoded frame to its flow's shard through the
-// engine's shared legacy producer. The decoded struct and payload are
-// copied before the call returns, so the caller may reuse both buffers
-// immediately (the cmd/classify read loop used to).
+// engine's shared legacy producer. Only the frame's summary is queued, so
+// the caller may reuse its decode buffers immediately.
 //
 // Multiple goroutines may call HandlePacket concurrently provided each flow
 // is fed from a single goroutine; interleaving packets of one flow across
@@ -671,26 +645,36 @@ func ShardIndex(key packet.FlowKey, shards int) int {
 // per-shard lock; for a fully lock-free path give each goroutine its own
 // Producer.
 func (e *Engine) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byte) {
-	si := ShardIndex(dec.Flow(), len(e.shards))
-	e.legacyMu[si].Lock()
-	e.legacy.handlePacketShard(si, ts, dec, payload)
-	e.legacyMu[si].Unlock()
+	var s packet.Summary
+	dec.SummaryInto(payload, &s)
+	e.enqueueLegacy(ts, &s)
 	if e.tickEvery > 0 {
 		e.tick(ts, nil)
 	}
 }
 
 // HandleFrame routes one raw Ethernet frame through the engine's shared
-// legacy producer — Producer.HandleFrame's semantics (shard-side decode,
-// DecodeErrors accounting) under the legacy concurrency contract.
+// legacy producer — Producer.HandleFrame's semantics (parsed once at
+// ingest, DecodeErrors accounting) under the legacy concurrency contract.
 func (e *Engine) HandleFrame(ts time.Time, frame []byte) {
-	si := ShardIndex(packet.PeekFlow(frame), len(e.shards))
-	e.legacyMu[si].Lock()
-	e.legacy.handleFrameShard(si, ts, frame)
-	e.legacyMu[si].Unlock()
+	var s packet.Summary
+	if err := packet.Summarize(frame, &s); err != nil {
+		e.legacy.reject()
+	} else {
+		e.enqueueLegacy(ts, &s)
+	}
 	if e.tickEvery > 0 {
 		e.tick(ts, nil)
 	}
+}
+
+// enqueueLegacy queues one summary through the legacy producer under its
+// shard's lock.
+func (e *Engine) enqueueLegacy(ts time.Time, s *packet.Summary) {
+	si := shardOf(s.Key, len(e.shards))
+	e.legacyMu[si].Lock()
+	e.legacy.enqueue(si, ts, s)
+	e.legacyMu[si].Unlock()
 }
 
 // tick advances the engine-wide packet clock to ts and, when a whole
@@ -790,7 +774,9 @@ func (e *Engine) Stats() Stats {
 	for _, p := range e.producers {
 		st.PacketsIn += p.packetsIn.v.Load()
 		st.Dropped += p.dropped.v.Load()
+		st.DecodeErrors += p.rejected.Load()
 	}
+	st.Processed = st.DecodeErrors // rejected at ingest is consumed
 	e.prodMu.Unlock()
 	for i, s := range e.shards {
 		c := s.load() // one atomic read: live and evicted from the same instant
@@ -799,7 +785,6 @@ func (e *Engine) Stats() Stats {
 		st.ShardBatch[i] = int(s.effBatch.Load())
 		st.EvictedFlows += c.evicted
 		st.Processed += s.processed.v.Load()
-		st.DecodeErrors += s.decodeErrs.Load()
 		st.ReportBacklog += s.reports.len()
 	}
 	return st

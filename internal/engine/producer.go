@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"gamelens/internal/packet"
@@ -39,9 +40,9 @@ type pair struct {
 
 // Producer is one ingest goroutine's handle into the engine. Each producer
 // owns a private SPSC lane to every shard, so concurrent producers never
-// contend on a lock or a cache line: HandlePacket/HandleFrame append to the
-// producer-local pending batch and hand full batches to the shard worker
-// through the lane's ring.
+// contend on a lock or a cache line: HandlePacket/HandleFrame append the
+// frame's summary to the producer-local pending batch and hand full batches
+// to the shard worker through the lane's ring.
 //
 // A Producer is strictly single-goroutine — the lanes are SPSC, so calling
 // any method concurrently from two goroutines corrupts the handoff. Feed
@@ -58,6 +59,10 @@ type Producer struct {
 	_         [64]byte // producers are long-lived; keep their hot counters off neighbors' lines
 	packetsIn paddedInt64
 	dropped   paddedInt64
+	// rejected counts frames HandleFrame could not parse. They end here —
+	// consumed, never routed — so Stats adds them to Processed as well as
+	// to DecodeErrors. Rarely written, so it goes unpadded.
+	rejected atomic.Int64
 }
 
 // newProducer wires a producer's lanes into every shard. Callers go through
@@ -72,95 +77,58 @@ func newProducer(e *Engine) *Producer {
 	return p
 }
 
-// HandlePacket routes one decoded frame to its flow's shard. The decoded
-// struct is copied and its borrowed views (payload, options) are retained
-// into the pending batch's arena before the call returns, so the caller may
+// HandlePacket routes one decoded frame to its flow's shard. Only the
+// frame's summary (packet.Decoded.SummaryInto) is queued, so the caller may
 // reuse its decode buffers immediately.
 func (p *Producer) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byte) {
-	si := ShardIndex(dec.Flow(), len(p.e.shards))
-	p.handlePacketShard(si, ts, dec, payload)
+	var s packet.Summary
+	dec.SummaryInto(payload, &s)
+	p.enqueue(shardOf(s.Key, len(p.e.shards)), ts, &s)
 	if p.e.tickEvery > 0 {
 		p.e.tick(ts, p)
 	}
 }
 
-// handlePacketShard is the shard-routed body of HandlePacket, shared with
-// the engine's legacy entry point (which computes the shard before taking
-// its per-shard lock, and ticks after releasing it).
-func (p *Producer) handlePacketShard(si int, ts time.Time, dec *packet.Decoded, payload []byte) {
-	p.packetsIn.v.Add(1)
-	need := len(payload) + len(dec.IP4.Options) + len(dec.TCP.Options)
-	b := p.ensure(si, need, false)
-	pk := pkt{ts: ts, dec: *dec}
-	pk.dec.Payload = payload
-	b.buf = pk.dec.RetainInto(b.buf)
-	b.pkts = append(b.pkts, pk)
-	if len(b.pkts) >= p.threshold(si, ts) {
-		p.flushShard(si)
-	}
-}
-
-// HandleFrame routes one raw Ethernet frame to its flow's shard without
-// decoding it: the producer peeks just the five-tuple (packet.PeekFlow),
-// copies the frame bytes into the pending batch's arena, and the shard
-// worker decodes on its own core. This is the zero-copy ingest path — the
-// producer's per-packet work is a header peek, a hash, and one memcpy into
-// an arena it already owns. The frame is copied before the call returns, so
-// the caller may reuse its read buffer immediately. Frames the worker fails
-// to decode are counted in Stats.DecodeErrors and otherwise ignored, which
-// is what a capture loop wants (no per-frame error plumbing).
+// HandleFrame routes one raw Ethernet frame to its flow's shard. The
+// analysis reads only a flow's packet sizes, directions and timing, so the
+// producer parses the frame once, here on the reader goroutine
+// (packet.Summarize), and queues the fixed-size summary; no frame byte
+// crosses to the shard and the caller may reuse its read buffer
+// immediately. A frame that fails to parse is counted in Stats.DecodeErrors
+// and otherwise ignored, which is what a capture loop wants (no per-frame
+// error plumbing).
 func (p *Producer) HandleFrame(ts time.Time, frame []byte) {
-	si := ShardIndex(packet.PeekFlow(frame), len(p.e.shards))
-	p.handleFrameShard(si, ts, frame)
+	var s packet.Summary
+	if err := packet.Summarize(frame, &s); err != nil {
+		p.reject()
+	} else {
+		p.enqueue(shardOf(s.Key, len(p.e.shards)), ts, &s)
+	}
 	if p.e.tickEvery > 0 {
 		p.e.tick(ts, p)
 	}
 }
 
-// handleFrameShard is the shard-routed body of HandleFrame, shared with
-// the engine's legacy entry point.
-func (p *Producer) handleFrameShard(si int, ts time.Time, frame []byte) {
+// reject accounts for one frame that failed to parse.
+func (p *Producer) reject() {
 	p.packetsIn.v.Add(1)
-	b := p.ensure(si, len(frame), true)
-	off := len(b.buf)
-	b.buf = append(b.buf, frame...)
-	b.frames = append(b.frames, frameRef{ts: ts, off: off, n: len(frame)})
-	if len(b.frames) >= p.threshold(si, ts) {
-		p.flushShard(si)
-	}
+	p.rejected.Add(1)
 }
 
-// ensure returns shard si's pending batch, ready to absorb need more arena
-// bytes in the given style (decoded pkts or raw frames). The arena never
-// grows while a batch holds entries — growth would move the backing array
-// out from under every Decoded already retained into it — so a batch whose
-// spare capacity is too small is flushed and a recycled (or fresh) one
-// started. Mixed styles in one batch would also reorder a flow across the
-// style boundary (the worker replays pkts before frames), so a style switch
-// flushes too; producers in practice use one style exclusively.
-func (p *Producer) ensure(si int, need int, frameStyle bool) *batch {
+// enqueue appends one summary to shard si's pending batch and hands the
+// batch over once it reaches the lane's threshold. The engine's legacy
+// entry points call it under their per-shard lock.
+func (p *Producer) enqueue(si int, ts time.Time, s *packet.Summary) {
+	p.packetsIn.v.Add(1)
 	pr := &p.pairs[si]
 	b := &pr.pending
-	if frameStyle {
-		if len(b.pkts) > 0 {
-			p.flushShard(si)
-		}
-	} else if len(b.frames) > 0 {
-		p.flushShard(si)
-	}
-	if len(b.buf)+need > cap(b.buf) && (len(b.pkts) > 0 || len(b.frames) > 0) {
-		p.flushShard(si)
-	}
-	if b.pkts == nil && b.frames == nil {
+	if b.entries == nil {
 		*b = pr.newBatch(p.e.cfg.BatchSize)
 	}
-	if need > cap(b.buf) {
-		// Oversized single entry (a jumbo frame beyond the MTU-class arena):
-		// give this batch a right-sized arena; it keeps the larger capacity
-		// through recycling.
-		b.buf = make([]byte, 0, need)
+	b.entries = append(b.entries, entry{ts: ts, sum: *s})
+	if len(b.entries) >= p.threshold(si, ts) {
+		p.flushShard(si)
 	}
-	return b
 }
 
 // threshold folds ts into shard si's pair inter-arrival estimate and
@@ -214,36 +182,24 @@ func (pr *pair) adaptBatch(ts time.Time, budget time.Duration, max int, s *shard
 	return eff
 }
 
-// batchBufSize is the arena capacity a fresh batch starts with: one
-// MTU-class frame (payload plus any IPv4/TCP options, or the whole raw
-// frame) per packet. Recycled batches keep whatever larger capacity they
-// grew to, so this only bounds the allocation a brand-new batch pays once.
-const batchBufSize = 1536
-
 // newBatch recycles a drained batch from the lane's free ring or allocates
-// a fresh, fully pre-sized one (both entry styles pre-sized, so a style
-// switch never allocates in steady state).
+// a fresh one.
 func (pr *pair) newBatch(batchSize int) batch {
 	if b, ok := pr.q.free.pop(); ok {
 		return b
 	}
-	return batch{
-		pkts:   make([]pkt, 0, batchSize),
-		frames: make([]frameRef, 0, batchSize),
-		buf:    make([]byte, 0, batchSize*batchBufSize),
-	}
+	return batch{entries: make([]entry, 0, batchSize)}
 }
 
 // flushShard hands shard si's pending batch to its worker. Under
 // DropOverload a full lane drops the pending batch in place: the drop is a
-// pair of slice resets — the batch, arena included, never leaves the
-// producer, so shedding load allocates nothing and leaks nothing.
-// Otherwise the push blocks until the worker frees a slot (lossless
-// backpressure).
+// slice reset — the batch never leaves the producer, so shedding load
+// allocates nothing and leaks nothing. Otherwise the push blocks until the
+// worker frees a slot (lossless backpressure).
 func (p *Producer) flushShard(si int) {
 	pr := &p.pairs[si]
 	b := &pr.pending
-	n := len(b.pkts) + len(b.frames)
+	n := len(b.entries)
 	if n == 0 {
 		return
 	}
@@ -253,9 +209,7 @@ func (p *Producer) flushShard(si int) {
 			p.e.shards[si].wakeUp()
 		} else {
 			p.dropped.v.Add(int64(n))
-			b.pkts = b.pkts[:0]
-			b.frames = b.frames[:0]
-			b.buf = b.buf[:0]
+			b.entries = b.entries[:0]
 		}
 		return
 	}
@@ -275,7 +229,7 @@ func (p *Producer) pushBlocking(si int, b batch) {
 	for spins := 0; !p.pairs[si].q.data.push(b); spins++ {
 		s.wakeUp()
 		if p.e.finished.Load() {
-			p.dropped.v.Add(int64(len(b.pkts) + len(b.frames)))
+			p.dropped.v.Add(int64(len(b.entries)))
 			return
 		}
 		if spins < 64 {

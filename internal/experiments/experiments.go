@@ -3,7 +3,8 @@
 // returning a Result whose String method renders the same rows/series the
 // paper reports; cmd/experiments prints them all and bench_test.go times
 // them. Absolute numbers come from the synthetic substrate and differ from
-// the authors' testbed; EXPERIMENTS.md records the shape comparison.
+// the authors' testbed; each Result's Notes carry the paper's figure for the
+// shape comparison.
 package experiments
 
 import (

@@ -162,7 +162,7 @@ func FieldValidation(fr *FieldRun) *Result {
 	}
 }
 
-// Ablations quantifies the design choices DESIGN.md calls out: EMA on/off,
+// Ablations quantifies the method's design choices: EMA on/off,
 // peak-relative vs absolute volumetric features, and the V sweep of §4.4.1.
 func Ablations(c *Corpus) (*Result, error) {
 	opts := c.Opts

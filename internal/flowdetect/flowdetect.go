@@ -164,18 +164,35 @@ func (f *Flow) String() string {
 }
 
 // Detector tracks flows and applies the gaming signature.
-type Detector struct {
-	cfg   Config
-	flows map[packet.FlowKey]*Flow
-}
+type Detector = Table[struct{}]
 
 // New returns a detector with the given configuration.
-func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), flows: make(map[packet.FlowKey]*Flow)}
+func New(cfg Config) *Detector { return NewTable[struct{}](cfg) }
+
+// Table is the detector with one caller-owned pointer per tracked flow:
+// each table entry carries a *S beside its Flow record, handed back by
+// ObserveSummary, so a caller that keeps per-flow state of its own (the
+// pipeline's sessions) finds it with the detector's map lookup instead of
+// repeating the lookup in a second map. The Flow record stays a separate
+// plain allocation — it never points at S, so a report that retains a *Flow
+// past eviction retains nothing else.
+type Table[S any] struct {
+	cfg   Config
+	flows map[packet.FlowKey]entry[S]
+}
+
+type entry[S any] struct {
+	flow *Flow
+	sess *S
+}
+
+// NewTable returns a detector whose entries can each carry a *S.
+func NewTable[S any](cfg Config) *Table[S] {
+	return &Table[S]{cfg: cfg.withDefaults(), flows: make(map[packet.FlowKey]entry[S])}
 }
 
 // platformFor maps a server port to its platform.
-func (d *Detector) platformFor(port uint16) Platform {
+func (d *Table[S]) platformFor(port uint16) Platform {
 	for _, r := range d.cfg.Ports {
 		if port >= r.Lo && port <= r.Hi {
 			return r.Platform
@@ -184,59 +201,78 @@ func (d *Detector) platformFor(port uint16) Platform {
 	return PlatformUnknown
 }
 
-// knownServerPort picks the endpoint that looks like the server: the port
-// matching a platform signature, else the numerically smaller port.
-func (d *Detector) knownServerPort(key packet.FlowKey) uint16 {
-	if d.platformFor(key.SrcPort) != PlatformUnknown {
-		return key.SrcPort
+// knownServerPort picks the endpoint of a flow's first frame that looks
+// like the server: the port matching a platform signature (the frame's
+// source first), else the numerically smaller port.
+func (d *Table[S]) knownServerPort(src, dst uint16) uint16 {
+	if d.platformFor(src) != PlatformUnknown {
+		return src
 	}
-	if d.platformFor(key.DstPort) != PlatformUnknown {
-		return key.DstPort
+	if d.platformFor(dst) != PlatformUnknown {
+		return dst
 	}
-	if key.SrcPort < key.DstPort {
-		return key.SrcPort
+	if src < dst {
+		return src
 	}
-	return key.DstPort
+	return dst
 }
 
 // Observe feeds one decoded frame with its capture timestamp and transport
 // payload. It returns the flow's state after the update. Non-UDP and non-IP
 // frames are ignored (state Rejected).
-func (d *Detector) Observe(ts time.Time, dec *packet.Decoded, payload []byte) State {
-	if !dec.HasUDP {
-		return Rejected
-	}
-	key := dec.Flow()
-	if key.IsZero() {
-		return Rejected
-	}
-	ck := key.Canonical()
-	f := d.flows[ck]
+func (d *Table[S]) Observe(ts time.Time, dec *packet.Decoded, payload []byte) State {
+	var s packet.Summary
+	dec.SummaryInto(payload, &s)
+	f, _ := d.ObserveSummary(ts, &s)
 	if f == nil {
-		f = &Flow{Key: ck, FirstSeen: ts, ServerPort: d.knownServerPort(key)}
-		d.flows[ck] = f
-	}
-	f.LastSeen = ts
-	down := key.SrcPort == f.ServerPort
-	if down {
-		f.DownPkts++
-		f.DownBytes += int64(len(payload))
-		f.RTPSeen++
-		if packet.LooksLikeRTP(payload) {
-			f.RTPValid++
-		}
-	} else {
-		f.UpPkts++
-		f.UpBytes += int64(len(payload))
-	}
-	if f.State == Pending && f.DownPkts >= d.cfg.MinDownPkts {
-		d.judge(f)
+		return Rejected
 	}
 	return f.State
 }
 
+// ObserveSummary feeds one frame summary with its capture timestamp and
+// returns the flow's record after the update, with whatever Attach hung on
+// its entry. Non-UDP frames are ignored: (nil, nil).
+func (d *Table[S]) ObserveSummary(ts time.Time, s *packet.Summary) (*Flow, *S) {
+	if !s.UDP {
+		return nil, nil
+	}
+	e := d.flows[s.Key]
+	f := e.flow
+	if f == nil {
+		f = &Flow{Key: s.Key, FirstSeen: ts, ServerPort: d.knownServerPort(s.SrcPort(), s.DstPort())}
+		d.flows[s.Key] = entry[S]{flow: f}
+	}
+	f.LastSeen = ts
+	if s.SrcPort() == f.ServerPort {
+		f.DownPkts++
+		f.DownBytes += int64(s.PayloadLen)
+		f.RTPSeen++
+		if s.RTP {
+			f.RTPValid++
+		}
+	} else {
+		f.UpPkts++
+		f.UpBytes += int64(s.PayloadLen)
+	}
+	if f.State == Pending && f.DownPkts >= d.cfg.MinDownPkts {
+		d.judge(f)
+	}
+	return f, e.sess
+}
+
+// Attach hangs sess on the tracked flow's table entry (a no-op for an
+// untracked key); every later ObserveSummary of the flow returns it until
+// the entry is removed.
+func (d *Table[S]) Attach(key packet.FlowKey, sess *S) {
+	if e, ok := d.flows[key]; ok {
+		e.sess = sess
+		d.flows[key] = e
+	}
+}
+
 // judge applies the signature once enough downstream evidence exists.
-func (d *Detector) judge(f *Flow) {
+func (d *Table[S]) judge(f *Flow) {
 	plat := d.platformFor(f.ServerPort)
 	if d.cfg.RequireKnownPort && plat == PlatformUnknown {
 		f.State = Rejected
@@ -253,16 +289,16 @@ func (d *Detector) judge(f *Flow) {
 }
 
 // Flow returns the tracked flow for a (possibly non-canonical) key, or nil.
-func (d *Detector) Flow(key packet.FlowKey) *Flow {
-	return d.flows[key.Canonical()]
+func (d *Table[S]) Flow(key packet.FlowKey) *Flow {
+	return d.flows[key.Canonical()].flow
 }
 
 // GamingFlows returns all flows currently in the Gaming state.
-func (d *Detector) GamingFlows() []*Flow {
+func (d *Table[S]) GamingFlows() []*Flow {
 	var out []*Flow
-	for _, f := range d.flows {
-		if f.State == Gaming {
-			out = append(out, f)
+	for _, e := range d.flows {
+		if e.flow.State == Gaming {
+			out = append(out, e.flow)
 		}
 	}
 	return out
@@ -272,7 +308,7 @@ func (d *Detector) GamingFlows() []*Flow {
 // The pipeline calls it as it finalizes a gaming session — eviction or
 // Finish — so the detector entry is freed with the session rather than
 // waiting out the idle cutoff.
-func (d *Detector) Remove(key packet.FlowKey) {
+func (d *Table[S]) Remove(key packet.FlowKey) {
 	delete(d.flows, key.Canonical())
 }
 
@@ -280,16 +316,16 @@ func (d *Detector) Remove(key packet.FlowKey) {
 // The pipeline calls it from Finish: rejected flows are never removed
 // individually (nothing references them back), so only a full reset makes
 // end-of-input actually free the whole filter table.
-func (d *Detector) Reset() {
-	d.flows = make(map[packet.FlowKey]*Flow)
+func (d *Table[S]) Reset() {
+	d.flows = make(map[packet.FlowKey]entry[S])
 }
 
 // Expire drops flows idle since before cutoff and returns how many were
 // removed; long-running monitors call this periodically.
-func (d *Detector) Expire(cutoff time.Time) int {
+func (d *Table[S]) Expire(cutoff time.Time) int {
 	n := 0
-	for k, f := range d.flows {
-		if f.LastSeen.Before(cutoff) {
+	for k, e := range d.flows {
+		if e.flow.LastSeen.Before(cutoff) {
 			delete(d.flows, k)
 			n++
 		}
@@ -298,4 +334,4 @@ func (d *Detector) Expire(cutoff time.Time) int {
 }
 
 // NumFlows returns the number of tracked flows.
-func (d *Detector) NumFlows() int { return len(d.flows) }
+func (d *Table[S]) NumFlows() int { return len(d.flows) }

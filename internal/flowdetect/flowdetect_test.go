@@ -199,3 +199,42 @@ func TestDetectorOnGeneratedPCAP(t *testing.T) {
 		t.Errorf("platform = %v", flows[0].Platform)
 	}
 }
+
+// TestTableAttach pins the entry's caller-owned slot: what Attach hangs on a
+// tracked flow comes back from every later ObserveSummary of either
+// direction, goes when the entry goes, and never reaches the Flow record.
+func TestTableAttach(t *testing.T) {
+	type session struct{ id int }
+	d := NewTable[session](Config{})
+	base := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	down := packet.Summary{
+		Key: packet.FlowKey{
+			Src: netip.AddrFrom4([4]byte{10, 1, 1, 2}), Dst: netip.AddrFrom4([4]byte{203, 0, 113, 10}),
+			SrcPort: 50000, DstPort: 49004, Proto: packet.ProtoUDP,
+		},
+		PayloadLen: 1200, Reversed: true, UDP: true, RTP: true,
+	}
+	up := down
+	up.Reversed, up.PayloadLen = false, 60
+
+	f, s := d.ObserveSummary(base, &down)
+	if f == nil || s != nil || f.ServerPort != 49004 || f.DownPkts != 1 {
+		t.Fatalf("first frame: flow %v, attachment %v", f, s)
+	}
+	mine := &session{id: 7}
+	d.Attach(down.Key, mine)
+	d.Attach(up.Key.Reverse(), &session{id: 8}) // not a tracked (canonical) key: no-op
+	if f2, s := d.ObserveSummary(base.Add(time.Millisecond), &up); f2 != f || s != mine || f.UpPkts != 1 {
+		t.Fatalf("second frame: flow %p (want %p), attachment %v, up=%d", f2, f, s, f.UpPkts)
+	}
+	if n := d.Expire(base.Add(time.Second)); n != 1 {
+		t.Fatalf("Expire removed %d flows, want 1", n)
+	}
+	if f3, s := d.ObserveSummary(base.Add(2*time.Second), &down); f3 == f || s != nil {
+		t.Fatalf("after expiry: reused flow record (%v) or kept attachment %v", f3 == f, s)
+	}
+	tcp := packet.Summary{Key: down.Key, PayloadLen: 100}
+	if f, s := d.ObserveSummary(base, &tcp); f != nil || s != nil {
+		t.Errorf("non-UDP summary tracked: %v %v", f, s)
+	}
+}

@@ -3,8 +3,7 @@
 // launch-stage packet-group signatures (§3.2, Fig 3), player-activity-stage
 // dependent bidirectional volumetric profiles (§3.3, Fig 4), and the
 // semi-Markov stage dynamics of Fig 5. It stands in for the paper's 531-
-// session lab capture and the ISP field deployment, which are not available;
-// see DESIGN.md for the substitution argument.
+// session lab capture and the ISP field deployment, which are not available.
 package gamesim
 
 import "fmt"

@@ -193,7 +193,7 @@ func ReplayFlow(pkts []trace.Pkt, ep Endpoints, start time.Time, handle func(ts 
 // ReplayFlowFrames is ReplayFlow without the decode: each rebuilt raw
 // Ethernet frame goes to handle directly. The frame aliases the builder's
 // internal buffer — valid only until handle returns, exactly a capture
-// loop's read-buffer discipline — which is what the engine's zero-copy
+// loop's read-buffer discipline — which is what the engine's
 // Producer.HandleFrame path expects to be fed with.
 func ReplayFlowFrames(pkts []trace.Pkt, ep Endpoints, start time.Time, handle func(ts time.Time, frame []byte)) {
 	fb := NewFrameBuilder(ep)
@@ -262,12 +262,30 @@ func (st *PacketStream) ReplayOneFrames(i int, handle func(ts time.Time, frame [
 // stand-in for a multi-flow gateway capture; the sharded engine's tests and
 // benchmarks replay with it.
 func ReplayFrames(flows [][]trace.Pkt, eps []Endpoints, starts []time.Time, handle func(ts time.Time, dec *packet.Decoded, payload []byte)) error {
+	var (
+		dec   packet.Decoded
+		first error
+	)
+	ReplayRawFrames(flows, eps, starts, func(ts time.Time, frame []byte) {
+		if first != nil {
+			return
+		}
+		if first = packet.Decode(frame, &dec); first == nil {
+			handle(ts, &dec, dec.Payload)
+		}
+	})
+	return first
+}
+
+// ReplayRawFrames is ReplayFrames without the decode: the interleaved raw
+// Ethernet frames go to handle directly, each aliasing its flow's builder
+// buffer until handle returns (ReplayFlowFrames's discipline).
+func ReplayRawFrames(flows [][]trace.Pkt, eps []Endpoints, starts []time.Time, handle func(ts time.Time, frame []byte)) {
 	builders := make([]*FrameBuilder, len(flows))
 	for i := range builders {
 		builders[i] = NewFrameBuilder(eps[i])
 	}
 	idx := make([]int, len(flows))
-	var dec packet.Decoded
 	for {
 		best := -1
 		var bestTS time.Time
@@ -281,14 +299,11 @@ func ReplayFrames(flows [][]trace.Pkt, eps []Endpoints, starts []time.Time, hand
 			}
 		}
 		if best < 0 {
-			return nil
+			return
 		}
 		frame := builders[best].Build(flows[best][idx[best]])
 		idx[best]++
-		if err := packet.Decode(frame, &dec); err != nil {
-			return err
-		}
-		handle(bestTS, &dec, dec.Payload)
+		handle(bestTS, frame)
 	}
 }
 

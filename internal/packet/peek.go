@@ -7,17 +7,14 @@ import (
 
 // PeekFlow extracts the transport five-tuple from a raw Ethernet frame
 // without a full decode: no options copy, no payload bounding, no error
-// construction. It is the routing fast path for handing raw frames across
-// cores before they are decoded (the engine's raw-frame handoff hashes the
-// returned key to pick a shard, then decodes on the shard's worker).
+// construction. It is for callers that only route or group raw frames;
+// Summarize is the validating single-pass parse the engine's ingest uses.
 //
 // The key agrees exactly with Decode followed by Decoded.Flow on every frame
 // Decode accepts: the zero key for non-IP frames, addresses with zero
 // ports/proto for transports this package does not parse, and the full
 // five-tuple for UDP/TCP. Frames Decode would reject (truncated or
-// malformed headers) yield a best-effort key — any consistent value is fine
-// for routing, since the frame is dropped at decode time on whichever shard
-// it lands on.
+// malformed headers) yield a best-effort key.
 func PeekFlow(b []byte) FlowKey {
 	var k FlowKey
 	if len(b) < EthernetHeaderLen {
@@ -61,36 +58,4 @@ func PeekFlow(b []byte) FlowKey {
 		k.Proto = proto
 	}
 	return k
-}
-
-// RetainInto copies the decode's borrowed variable-length views — Payload
-// and any IPv4/TCP options — into buf and re-points d at the copies,
-// returning the extended buf. Afterwards d no longer aliases the decode
-// buffer, so the caller may reuse that buffer while retaining d (the
-// engine's handoff batches decode results into shard-bound arenas this
-// way). Like every ...Into method, the destination is caller-owned; if buf
-// has capacity for the appended bytes, RetainInto allocates nothing.
-//
-//gamelens:noalloc
-func (d *Decoded) RetainInto(buf []byte) []byte {
-	off := len(buf)
-	buf = append(buf, d.Payload...)     //gamelens:alloc-ok amortized growth of the caller-owned arena
-	buf = append(buf, d.IP4.Options...) //gamelens:alloc-ok amortized growth of the caller-owned arena
-	buf = append(buf, d.TCP.Options...) //gamelens:alloc-ok amortized growth of the caller-owned arena
-	rest := buf[off:]
-	n := len(d.Payload)
-	d.Payload = rest[:n:n]
-	rest = rest[n:]
-	if n := len(d.IP4.Options); n > 0 {
-		d.IP4.Options = rest[:n:n]
-		rest = rest[n:]
-	} else {
-		d.IP4.Options = nil
-	}
-	if n := len(d.TCP.Options); n > 0 {
-		d.TCP.Options = rest[:n:n]
-	} else {
-		d.TCP.Options = nil
-	}
-	return buf
 }

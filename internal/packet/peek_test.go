@@ -76,69 +76,3 @@ func TestPeekFlowTruncated(t *testing.T) {
 		}
 	}
 }
-
-// TestRetainInto checks the arena retention round trip: after RetainInto
-// the Decoded must be bit-identical to the original decode — payload,
-// options, every fixed field — while aliasing only the arena, so the
-// original decode buffer can be scribbled over.
-func TestRetainInto(t *testing.T) {
-	frames := peekFrames()
-	for _, name := range []string{"ipv4-udp", "ipv4-opts-tcp", "ipv6-udp"} {
-		b := append([]byte(nil), frames[name]...)
-		var d Decoded
-		if err := Decode(b, &d); err != nil {
-			t.Fatalf("%s: Decode: %v", name, err)
-		}
-		var ref Decoded
-		if err := Decode(frames[name], &ref); err != nil {
-			t.Fatalf("%s: Decode ref: %v", name, err)
-		}
-
-		arena := make([]byte, 0, 4096)
-		arena = d.RetainInto(arena)
-
-		// Scribble over every buffer the decode could have borrowed from.
-		for i := range b {
-			b[i] = 0xee
-		}
-
-		if !bytes.Equal(d.Payload, ref.Payload) {
-			t.Errorf("%s: payload diverged after scribble: %q vs %q", name, d.Payload, ref.Payload)
-		}
-		if !bytes.Equal(d.IP4.Options, ref.IP4.Options) {
-			t.Errorf("%s: IPv4 options diverged: %v vs %v", name, d.IP4.Options, ref.IP4.Options)
-		}
-		if !bytes.Equal(d.TCP.Options, ref.TCP.Options) {
-			t.Errorf("%s: TCP options diverged: %v vs %v", name, d.TCP.Options, ref.TCP.Options)
-		}
-		if d.Flow() != ref.Flow() {
-			t.Errorf("%s: flow key diverged", name)
-		}
-		// Empty views must be nil after retention (the engine's workers
-		// branch on nil-ness, and a non-nil empty slice would pin the arena).
-		if len(ref.IP4.Options) == 0 && d.IP4.Options != nil {
-			t.Errorf("%s: empty IPv4 options retained non-nil", name)
-		}
-		if len(ref.TCP.Options) == 0 && d.TCP.Options != nil {
-			t.Errorf("%s: empty TCP options retained non-nil", name)
-		}
-	}
-}
-
-// TestRetainIntoNoAlloc pins retention into a pre-sized arena at zero
-// allocations — the property that makes the producer's steady-state
-// decoded-packet path allocation-free.
-func TestRetainIntoNoAlloc(t *testing.T) {
-	b := frame([]byte("steady state payload"), ProtoUDP)
-	var d Decoded
-	if err := Decode(b, &d); err != nil {
-		t.Fatal(err)
-	}
-	arena := make([]byte, 0, 4096)
-	if n := testing.AllocsPerRun(500, func() {
-		tmp := d
-		arena = tmp.RetainInto(arena[:0])
-	}); n != 0 {
-		t.Fatalf("RetainInto allocates %.1f/op, want 0", n)
-	}
-}
