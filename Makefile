@@ -2,25 +2,22 @@
 #
 # `make check` is the full gate: formatting, vet, build, the whole test
 # suite under the race detector (the engine and fleet exercise real
-# concurrency, so the race pass is load-bearing, not ceremonial), the
-# allocation gate (the zero-allocation steady-state pins skip under -race,
-# so they get a plain-build pass of their own), and a one-iteration
-# short-mode bench smoke so the lifecycle/engine benchmarks keep compiling
-# and running in CI. `make test` is the quicker ROADMAP tier-1 (build +
-# tests without -race) for inner-loop runs.
+# concurrency, so the race pass is load-bearing, not ceremonial), and then
+# only gates that run in a different mode from that pass: the analyzers,
+# the allocation gates (the zero-allocation steady-state pins skip under
+# -race, so they get a plain-build pass of their own), a few seconds of
+# fuzzing, a one-iteration short-mode bench smoke, the bench/ module, and
+# the shard-scaling gate. ckptsmoke, mergesmoke, faultgate and storegate
+# are `-run` filters over packages the race pass already runs in full:
+# they stay as fast inner-loop targets and are not part of `check`.
+# `make test` is the quicker ROADMAP tier-1 (build + tests without -race).
 
 GO ?= go
 GOFMT ?= gofmt
 
-# The bench target pipes `go test` into benchjson; without pipefail a
-# failing benchmark (including BenchmarkSteadyState's shard-equivalence
-# pre-check) would be masked by the converter's zero exit.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -c
-
 .PHONY: check test build fmt vet race bench benchsmoke ckptsmoke allocgate sinkgate mergesmoke scalegate lintgate lint faultgate storegate fuzzsmoke benchgate
 
-check: fmt vet build race lintgate allocgate sinkgate fuzzsmoke benchsmoke benchgate ckptsmoke mergesmoke scalegate faultgate storegate
+check: fmt vet build race lintgate allocgate sinkgate fuzzsmoke benchsmoke benchgate scalegate
 
 # Fail (and list the offenders) if any file is not gofmt-clean.
 fmt:
@@ -87,22 +84,12 @@ benchgate:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
 
-# The engine scaling curve vs the single-threaded pipeline, the lifecycle
-# memory-bound comparison, the rollup report-stream hot path, and the
-# full-path steady-state benchmark. Fixed methodology: -benchtime 3x
-# -count 3, and benchjson keeps each benchmark's fastest run (min-of-N is
-# the standard noise filter — the fastest run is the least
-# scheduler-disturbed) plus a _meta entry recording GOMAXPROCS and the CPU
-# count the numbers are conditional on. Results land in BENCH_8.json
-# (benchmark → ns/op, B/op, allocs/op, custom metrics) so the perf
-# trajectory is machine-readable across PRs. BenchmarkEmitterDrain (in
-# internal/engine; benchjson folds the multi-package stream into one file)
-# isolates the per-report emission cost — ring pop → sinks → rollup fold →
-# recycle — whose reports/s and B/op track the lock-free report path.
-# BenchmarkStoreSealCompact (internal/rollup/store) measures the archive's
-# full ingest→seal→compact→GC cycle on a fresh directory per iteration.
+# The benchmark (BENCHMARK.json): four tap workloads, their end-to-end
+# metrics and, with --trace 1, the per-layer cost table. Arguments pass
+# through BENCHARGS, e.g. `make bench BENCHARGS="--workload steady --seed 1"`;
+# bench/README.md has the options.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineShards|BenchmarkPipelineEviction|BenchmarkRollupIngest|BenchmarkSteadyState|BenchmarkEmitterDrain|BenchmarkStoreSealCompact' -benchmem -benchtime 3x -count 3 . ./internal/engine ./internal/rollup/store | $(GO) run ./cmd/benchjson -o BENCH_8.json
+	bash bench/run.sh $(BENCHARGS)
 
 # One cheap iteration of the lifecycle, rollup and steady-state benches in
 # short mode: a CI smoke that the bench code compiles and its invariants

@@ -343,13 +343,15 @@ func evictionStream(b *testing.B) *gamesim.PacketStream {
 // BenchmarkSteadyState drives a long multi-flow capture through the full
 // deployment path — sharded engine → per-shard pipelines → per-shard report
 // rings → emitter → sharded per-subscriber rollup, with TTL eviction
-// streaming recycled reports through the batched sink — and reports ns/pkt,
-// pkts/s, reports/s and (via ReportAllocs) the per-iteration B/op that the
-// zero-allocation hot-path work tracks across PRs (BENCH_7.json; the
-// per-report emission cost in isolation is BenchmarkEmitterDrain in
-// internal/engine). Before timing, it pins the correctness side: the
-// order-normalized report set is byte-identical at shards 1..8 and
-// identical to the single-threaded pipeline on the same capture.
+// streaming recycled reports through the batched sink, fed by one reader
+// through its Producer — and reports ns/pkt, pkts/s, reports/s and (via
+// ReportAllocs) the per-iteration B/op (the per-report emission cost in
+// isolation is BenchmarkEmitterDrain in internal/engine). It rebuilds
+// engine and rollup every iteration over a short capture, so it is a smoke
+// of the path (`make benchsmoke`), not performance evidence — that is
+// bench/. Before timing, it pins the correctness side: the order-normalized
+// report set is byte-identical at shards 1..8 and identical to the
+// single-threaded pipeline on the same capture.
 func BenchmarkSteadyState(b *testing.B) {
 	m := engineModels(b)
 	st := evictionStream(b)
@@ -374,7 +376,7 @@ func BenchmarkSteadyState(b *testing.B) {
 			return render(pipe.Finish())
 		}
 		eng := NewEngine(EngineConfig{Shards: shards}, m)
-		if err := st.Replay(eng.HandlePacket); err != nil {
+		if err := st.Replay(eng.Producer().HandlePacket); err != nil {
 			b.Fatal(err)
 		}
 		return render(eng.Finish())
@@ -399,7 +401,7 @@ func BenchmarkSteadyState(b *testing.B) {
 					StreamOnly: true,
 					Pipeline:   PipelineConfig{FlowTTL: 15 * time.Second},
 				}, m)
-				if err := st.Replay(eng.HandlePacket); err != nil {
+				if err := st.Replay(eng.Producer().HandlePacket); err != nil {
 					b.Fatal(err)
 				}
 				eng.Finish()

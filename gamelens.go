@@ -32,27 +32,25 @@
 // core. Engine is the multi-core deployment shape: it hash-partitions
 // packets by canonical flow key across N shards (default GOMAXPROCS), each
 // shard running its own Pipeline, and merges the per-shard session reports
-// into one deterministic, sorted result. The reader→shard handoff is
-// lock-free: each reader goroutine holds its own EngineProducer
-// (Engine.Producer), which owns a private single-producer/single-consumer
-// batch ring to every shard plus a reverse ring recycling spent batches
-// back, so the steady state moves no locks and no garbage — just two
-// atomic word updates per batch. No frame byte crosses a lane: the method
-// reads only the sizes, directions and timing of a flow's packets, so
-// EngineProducer.HandleFrame parses the raw Ethernet frame once on the
-// reader goroutine into a fixed-size summary (canonical five-tuple,
-// direction, payload length, RTP probe) and a batch is a run of
-// {timestamp, summary} values; the shard worker's per-packet work starts
-// at the flow lookup. Because flows are independent and each flow's
-// packets stay on one shard in arrival order,
-// an N-shard Engine reports exactly what a single Pipeline would on the
-// same capture — the property internal/engine's tests pin down. Use
-// Pipeline for offline single-capture analysis; use Engine when ingesting
-// at link rate or feeding from several capture threads (one EngineProducer
-// per reader goroutine; a producer is strictly single-goroutine, and each
-// flow must stay on one producer). Engine.HandlePacket/HandleFrame remain
-// as shared mutex-guarded entry points with the old semantics for callers
-// that don't manage producer handles.
+// into one deterministic, sorted result. Packets enter only through
+// EngineProducer handles (Engine.Producer), one per reader goroutine; the
+// engine has no per-packet entry point of its own. The reader→shard
+// handoff is lock-free: a producer owns a private single-producer/
+// single-consumer batch ring to every shard plus a reverse ring recycling
+// spent batches back, so the steady state moves no locks and no garbage —
+// just two atomic word updates per batch. No frame byte crosses a lane:
+// the method reads only the sizes, directions and timing of a flow's
+// packets, so EngineProducer.HandleFrame parses the raw Ethernet frame
+// once on the reader goroutine into a fixed-size summary (canonical
+// five-tuple, direction, payload length, RTP probe) and a batch is a run
+// of {timestamp, summary} values; the shard worker's per-packet work
+// starts at the flow lookup. Because flows are independent and each flow's
+// packets stay on one shard in arrival order, an N-shard Engine reports
+// exactly what a single Pipeline would on the same capture — the property
+// internal/engine's tests pin down. Use Pipeline for offline
+// single-capture analysis; use Engine when ingesting at link rate or
+// feeding from several capture threads (a producer is strictly
+// single-goroutine, and each flow must stay on one producer).
 //
 // # Report path
 //
@@ -98,14 +96,14 @@
 // one report either way (a flow idle past the TTL that later resumes is a
 // new flow, as at any stateful middlebox), and with eviction disabled the
 // streamed output is identical to the Finish-only result. Live residency
-// vs cumulative volume is split in EngineStats: ActiveFlows/ShardFlows
+// vs cumulative volume is split in Engine.Stats: ActiveFlows/ShardFlows
 // count resident sessions, Flows()/EvictedFlows the total ever seen. One
 // residual caveat at engine scale: a shard's own eviction clock advances
 // only with its own traffic, but the engine ticks every shard from the
 // newest capture timestamp seen engine-wide (EngineConfig.TickInterval, on
 // by default with a FlowTTL), so any traffic at the tap evicts quiet
 // shards' flows; Engine.ExpireIdle remains for monitors whose whole feed
-// goes silent.
+// goes silent (EngineProducer.ExpireIdle orders after that producer's feed).
 //
 // # Per-subscriber rollups
 //
@@ -116,12 +114,12 @@
 // — in a ring of fixed-width packet-time buckets per subscriber, so memory
 // is O(subscribers × buckets) no matter how many reports the window has
 // absorbed. Chain it into any sink with Rollup.Sink. Every bucket also
-// carries two mergeable percentile sketches (QuantileSketch,
-// internal/sketch: deterministic fixed-centroid layout, 5% relative
-// accuracy): per-session mean downstream Mbps and the continuous [0, 1]
-// QoE proxy (SessionReport.EffectiveScore), so each SubscriberAggregate
-// answers p50/p90/p99 drill-downs via RollupCounts.ThroughputPercentiles
-// and QoEProxyPercentiles. The whole window round-trips through a
+// carries two mergeable percentile sketches (internal/sketch:
+// deterministic fixed-centroid layout, 5% relative accuracy): per-session
+// mean downstream Mbps and the continuous [0, 1] QoE proxy
+// (SessionReport.EffectiveScore), so each SubscriberAggregate answers
+// p50/p90/p99 drill-downs via its Counts' ThroughputPercentiles and
+// QoEProxyPercentiles. The whole window round-trips through a
 // canonical JSON checkpoint (Snapshot/Restore, or SaveFile/LoadFile for
 // atomic write-temp-rename persistence): a restarted monitor resumes the
 // day's aggregations exactly — the restart-resume equivalence is pinned by
@@ -155,7 +153,7 @@
 // accumulates per-subscriber cells per hour of packet time; once the packet
 // clock passes an hour by the linger margin the cell set seals into an
 // immutable time-partitioned archive file. Sealed hours compact losslessly
-// into days and days into weeks — the merge is RollupCounts.Merge, the
+// into days and days into weeks — the merge is rollup.Counts.Merge, the
 // exact cell-wise addition the window itself aggregates with, so a day
 // partition is byte-identical to the merge of its hours and nothing is
 // re-sketched or approximated — and expired partitions are deleted under a
@@ -164,7 +162,7 @@
 // archive and the unsealed in-memory tail in one call, resolve each instant
 // through exactly one tier, and return canonical address-sorted output:
 // the same archive answers the same query byte-identically on every run.
-// Drive it from the emitter via RollupCheckpointerConfig.Archive (or wire
+// Drive it from the emitter via rollup.CheckpointerConfig.Archive (or wire
 // ArchiveStore.Tick into EngineConfig.Checkpoint directly when
 // checkpointing is off); cmd/classify -archive does exactly that, and
 // cmd/rollupmerge queries archives and folds partition files back into
@@ -177,16 +175,16 @@
 // can cost:
 //
 // What survives a crash: the rollup window, up to the last checkpoint.
-// RollupCheckpointer (NewRollupCheckpointer) snapshots the live window —
-// sharded or not — every RollupCheckpointerConfig.EveryBuckets bucket
-// rotations of the packet clock (never wall clock, so replay and live
-// capture checkpoint identically), writing generation-numbered files
-// (path.gen-1, .gen-2, ...) beside the base path; an end-of-run or
-// shutdown Final writes the base path itself. Wire its Tick into
-// EngineConfig.Checkpoint and the emitter calls it after each report
-// drain, off the ingest path — shard workers never wait on disk. The
-// recovery point after a crash is at most one checkpoint interval (plus
-// the drain batch in flight) behind the packets analyzed.
+// internal/rollup's Checkpointer (what cmd/classify -checkpoint wires into
+// EngineConfig.Checkpoint) snapshots the live window on the packet clock —
+// never wall clock, so replay and live capture checkpoint identically —
+// from the emitter, off the ingest path, so shard workers never wait on
+// disk; the recovery point after a crash is at most one checkpoint
+// interval (plus the drain batch in flight) behind. At startup
+// rollup.Recover restores the newest generation that validates and
+// quarantines corrupt ones aside as path.corrupt-N: nothing on disk is a
+// cold start, everything corrupt is an error, because silently starting
+// empty would hide data loss.
 //
 // Every write is atomic and torn-write-evident: write-temp, fsync,
 // rename, fsync the parent directory (a crash between rename and
@@ -209,31 +207,22 @@
 // one counted error per partition interval (never one per drain), ingest
 // continues, and ArchiveConfig.MaxPending bounds the memory a persistently
 // failing disk can pin by dropping whole oldest partitions with a counter
-// (ArchiveStats.PendingDropped). A crash loses at most
+// (ArchiveStore.Stats().PendingDropped). A crash loses at most
 // ArchiveConfig.FlushEvery entries of unsealed tail past the last drain —
 // the sealed archive itself is never at risk.
 //
-// What recovery does: RecoverRollup scans the base path and every
-// generation sibling, restores the newest candidate that validates
-// (competing the base file by its packet clock), quarantines corrupt ones
-// aside as path.corrupt-N for inspection, and reports what it found in
-// RollupRecoverInfo — including the next generation number, so a resumed
-// RollupCheckpointer never overwrites evidence. Nothing on disk is a cold
-// start; everything corrupt is an error, because silently starting empty
-// would hide data loss.
-//
 // What a failing sink costs: nothing but its own reports. The emitter
 // runs every user callback — Sink, BatchSink, the Checkpoint hook —
-// supervised: a panic is recovered, counted (EngineStats.SinkPanics,
+// supervised: a panic is recovered, counted (Stats.SinkPanics,
 // CheckpointFailures), and poisons that callback so it is never called
 // again, while emission, recycling and the other callbacks continue.
 // Every report is then delivered exactly once or counted in
-// EngineStats.SinkDropped — the accounting always balances against
+// Stats.SinkDropped — the accounting always balances against
 // EmittedReports — and Finish always completes. The whole tier is tested
 // against internal/faultinject's deterministic fault plans (fail the Nth
 // write, tear it at byte k, ENOSPC forever, panic at report M), so every
-// failure scenario above replays bit-for-bit; `make check`'s faultgate
-// runs the short-mode slice of that suite.
+// failure scenario above replays bit-for-bit (`make faultgate` is the
+// short-mode slice of that suite).
 //
 // # Performance model
 //
@@ -281,12 +270,10 @@
 // two allocations per tree), and Forest.PredictProbaInto accumulates votes
 // without materializing any per-tree distribution.
 //
-// BenchmarkSteadyState drives the full engine→pipeline→rollup path and
-// reports ns/pkt, pkts/s, reports/s and B/op; `make bench` records the
-// trajectory in BENCH_7.json (best-of-N per benchmark, with the host's
-// GOMAXPROCS and CPU count in the _meta entry), `make check`'s allocgate
-// and sinkgate pin the 0-alloc guarantees (ingest and emission
-// respectively), and its scalegate smoke fails if running
+// `make bench` runs the benchmark (bench/run.sh: four tap workloads, their
+// end-to-end metrics and a per-layer cost table; see BENCHMARK.json),
+// `make check`'s allocgate and sinkgate pin the 0-alloc guarantees (ingest
+// and emission respectively), and its scalegate smoke fails if running
 // shards=GOMAXPROCS ever drops below single-shard throughput.
 //
 // # Enforced invariants
@@ -335,7 +322,7 @@
 // Multi-core ingest swaps NewPipeline for NewEngine:
 //
 //	eng := gamelens.NewEngine(gamelens.EngineConfig{}, models)
-//	// feed decoded packets: eng.HandlePacket(ts, &dec, payload)
+//	p := eng.Producer() // one per reader goroutine: p.HandleFrame(ts, frame)
 //	reports := eng.Finish()
 //
 // A continuous monitor adds a TTL and a sink and never needs Finish until
@@ -364,7 +351,6 @@ import (
 	"gamelens/internal/mlkit"
 	"gamelens/internal/rollup"
 	"gamelens/internal/rollup/store"
-	"gamelens/internal/sketch"
 	"gamelens/internal/stageclass"
 	"gamelens/internal/titleclass"
 )
@@ -380,8 +366,6 @@ type (
 	Engine = engine.Engine
 	// EngineConfig tunes the engine (shards, batching, overload policy).
 	EngineConfig = engine.Config
-	// EngineStats are the engine-level counters.
-	EngineStats = engine.Stats
 	// EngineProducer is a single-goroutine ingest handle with lock-free
 	// lanes to every shard (Engine.Producer); the raw-frame path is
 	// EngineProducer.HandleFrame.
@@ -398,67 +382,25 @@ type (
 	RollupConfig = rollup.Config
 	// RollupEntry is one finished session attributed to a subscriber.
 	RollupEntry = rollup.Entry
-	// RollupCounts is one additive window aggregate.
-	RollupCounts = rollup.Counts
 	// SubscriberAggregate is one subscriber's whole-window summary.
 	SubscriberAggregate = rollup.Aggregate
-	// RollupStats are the rollup's observability counters.
-	RollupStats = rollup.Stats
-	// ShardedRollup fans entries across N shard-local rollups (zero shared
-	// state; merged view byte-identical to a single rollup) — the
-	// aggregation-tier counterpart of Engine over Pipeline. Wire its
-	// BatchSink() into EngineConfig.BatchSink for the lock-amortized
-	// emitter drain path.
+	// ShardedRollup fans entries across N shard-local rollups — the
+	// aggregation-tier counterpart of Engine over Pipeline (see the package
+	// comment); wire its BatchSink() into EngineConfig.BatchSink.
 	ShardedRollup = rollup.Sharded
-	// RollupPercentiles is a sketched distribution read at p50/p90/p99.
-	RollupPercentiles = rollup.Percentiles
-	// RollupCheckpointer writes generation-numbered checkpoints of a live
-	// rollup window on the packet clock (and the final base checkpoint at
-	// shutdown); wire Tick into EngineConfig.Checkpoint.
-	RollupCheckpointer = rollup.Checkpointer
-	// RollupCheckpointerConfig tunes checkpoint cadence, retention, retry
-	// and the starting generation (RollupRecoverInfo.NextGen on resume).
-	RollupCheckpointerConfig = rollup.CheckpointerConfig
-	// RollupWindow is the checkpointable-window interface both Rollup and
-	// ShardedRollup satisfy.
-	RollupWindow = rollup.Window
-	// RollupRecoverInfo reports what a RecoverRollup scan found: the
-	// restored path and generation, the next generation number, and any
-	// quarantined corrupt candidates.
-	RollupRecoverInfo = rollup.RecoverInfo
-	// ArchiveStore is the tiered historical rollup archive: live hours seal
-	// into time-partitioned files, compact losslessly into days and weeks,
-	// expire under retention, and answer cross-tier time-range queries
-	// (Range, Total, TopImpaired) spanning archive and unsealed tail.
+	// ArchiveStore is the tiered historical rollup archive (the package
+	// comment's historical-archive section).
 	ArchiveStore = store.Store
 	// ArchiveConfig tunes an archive (directory, tier spans, linger,
 	// retention, pending-tail flush cadence, pending bound).
 	ArchiveConfig = store.Config
-	// ArchiveStats are the archive's observability counters.
-	ArchiveStats = store.Stats
-	// ArchiveTier indexes the archive granularities (ArchiveTierHour /
-	// ArchiveTierDay / ArchiveTierWeek).
-	ArchiveTier = store.Tier
 	// ArchivePartition is one archive partition file decoded standalone
 	// (ReadArchivePartition) — what cmd/rollupmerge folds into fleet views.
 	ArchivePartition = store.Partition
-	// RollupArchiver is the archive surface a RollupCheckpointer drives
-	// alongside its checkpoint cadence (RollupCheckpointerConfig.Archive);
-	// ArchiveStore implements it.
-	RollupArchiver = rollup.Archiver
-	// QuantileSketch is the deterministic mergeable quantile sketch rollup
-	// buckets carry for throughput and QoE-proxy distributions.
-	QuantileSketch = sketch.Sketch
-	// TitleClassifier is the §4.2 game-title classifier.
-	TitleClassifier = titleclass.Classifier
-	// StageClassifier is the §4.3 stage + pattern classifier.
-	StageClassifier = stageclass.Classifier
-	// Session is one generated cloud-gaming session.
-	Session = gamesim.Session
 )
 
 // The archive tier names, re-exported for ArchiveConfig.Spans/Retain
-// indexing and ArchiveStats.Partitions.
+// indexing.
 const (
 	ArchiveTierHour = store.TierHour
 	ArchiveTierDay  = store.TierDay
@@ -468,9 +410,7 @@ const (
 // OpenArchive opens (or initializes) the tiered historical archive at
 // cfg.Dir: geometry is pinned by the archive's own manifest (a caller that
 // sets no spans adopts the manifest's), corrupt partitions quarantine
-// aside, and the unsealed tail resumes from the last flush. See the
-// package comment's historical-archive section for the tier, retention and
-// query semantics.
+// aside, and the unsealed tail resumes from the last flush.
 func OpenArchive(cfg ArchiveConfig) (*ArchiveStore, error) {
 	return store.Open(cfg)
 }
@@ -484,8 +424,8 @@ func ReadArchivePartition(path string) (*ArchivePartition, error) {
 
 // Models bundles the two trained classifiers a pipeline needs.
 type Models struct {
-	Title *TitleClassifier
-	Stage *StageClassifier
+	Title *titleclass.Classifier // the §4.2 game-title classifier
+	Stage *stageclass.Classifier // the §4.3 stage + pattern classifier
 }
 
 // TrainOptions sizes model training.
@@ -495,7 +435,7 @@ type TrainOptions struct {
 	SessionsPerTitle int
 	// SessionLength bounds each training session (default 25 minutes).
 	SessionLength time.Duration
-	// TitleForest / StageForest override the model configurations; zero
+	// TitleConfig / StageConfig override the model configurations; zero
 	// values take the paper's deployed settings.
 	TitleConfig titleclass.Config
 	StageConfig stageclass.Config
@@ -584,34 +524,11 @@ func ShardedRollupFrom(r *Rollup) *ShardedRollup {
 	return rollup.ShardedFrom(r)
 }
 
-// RestoreRollup rebuilds a rollup from a checkpoint written by
-// Rollup.Snapshot.
-func RestoreRollup(r io.Reader) (*Rollup, error) {
-	return rollup.Restore(r)
-}
-
 // LoadRollup restores a rollup from a checkpoint file written by
 // Rollup.SaveFile. A missing file surfaces the os.Open error unchanged so
 // monitors can treat it as a cold start.
 func LoadRollup(path string) (*Rollup, error) {
 	return rollup.LoadFile(path)
-}
-
-// NewRollupCheckpointer builds a checkpointer over a live rollup window
-// (Rollup or ShardedRollup). See the package comment's durability section
-// for the cadence, retention and recovery-point contract.
-func NewRollupCheckpointer(src RollupWindow, cfg RollupCheckpointerConfig) *RollupCheckpointer {
-	return rollup.NewCheckpointer(src, cfg)
-}
-
-// RecoverRollup scans path and its generation-numbered siblings for the
-// newest valid checkpoint, quarantining corrupt candidates aside as
-// path.corrupt-N. A nil rollup with a nil error is a cold start; an error
-// means candidates existed but none validated — data loss that should not
-// be resumed over silently. Seed a resumed checkpointer's generation
-// numbering with the returned info's NextGen.
-func RecoverRollup(path string) (*Rollup, RollupRecoverInfo, error) {
-	return rollup.Recover(nil, path)
 }
 
 // SaveTitleModel writes the title classifier's forest as JSON. The
@@ -626,7 +543,7 @@ func SaveTitleModel(w io.Writer, m *Models) error {
 
 // LoadTitleModel reads a forest saved by SaveTitleModel and wraps it with
 // the given classification config.
-func LoadTitleModel(r io.Reader, cfg titleclass.Config) (*TitleClassifier, error) {
+func LoadTitleModel(r io.Reader, cfg titleclass.Config) (*titleclass.Classifier, error) {
 	f, err := mlkit.LoadForest(r)
 	if err != nil {
 		return nil, err
@@ -653,7 +570,7 @@ func SaveStageModels(w io.Writer, m *Models) error {
 
 // LoadStageModels reads the two forests written by SaveStageModels and wraps
 // them with the given configuration.
-func LoadStageModels(r io.Reader, cfg stageclass.Config) (*StageClassifier, error) {
+func LoadStageModels(r io.Reader, cfg stageclass.Config) (*stageclass.Classifier, error) {
 	// A json.Decoder buffers past the first value, so the stream is framed
 	// into raw documents before handing each to LoadForest.
 	dec := json.NewDecoder(r)

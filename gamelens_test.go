@@ -146,7 +146,7 @@ func TestEngineLifecycleThroughFacade(t *testing.T) {
 		Sink:     func(r *SessionReport) { streamed = append(streamed, r) },
 		Pipeline: PipelineConfig{FlowTTL: 20 * time.Second},
 	}, models)
-	if err := st.Replay(eng.HandlePacket); err != nil {
+	if err := st.Replay(eng.Producer().HandlePacket); err != nil {
 		t.Fatal(err)
 	}
 	reports := eng.Finish()

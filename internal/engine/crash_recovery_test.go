@@ -81,7 +81,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				Shards:   shards,
 				Pipeline: core.Config{FlowTTL: 15 * time.Second},
 			}, tm, sm)
-			feed(t, st, eng.HandlePacket)
+			feed(t, st, eng.Producer().HandlePacket)
 			reports := eng.Finish()
 			if len(reports) != flows {
 				t.Fatalf("%d reports, want %d", len(reports), flows)
@@ -245,15 +245,17 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 	// queued, so drains (and therefore Checkpoint hook calls) happen at
 	// distinct rollup clocks instead of one burst at Finish.
 	var nextPause time.Time
+	p := eng.Producer()
 	feed(t, st, func(ts time.Time, dec *packet.Decoded, payload []byte) {
 		if nextPause.IsZero() {
 			nextPause = ts.Add(time.Minute)
 		}
 		if ts.After(nextPause) {
 			nextPause = ts.Add(time.Minute)
-			waitDrained(t, eng)
+			waitStats(t, eng, "the emitter to drain the report backlog",
+				func(st engine.Stats) bool { return st.ReportBacklog == 0 })
 		}
-		eng.HandlePacket(ts, dec, payload)
+		p.HandlePacket(ts, dec, payload)
 	})
 	eng.Finish()
 
@@ -281,20 +283,6 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 	}
 }
 
-// waitDrained blocks until the emitter has emptied the shard report rings.
-func waitDrained(t *testing.T, eng *engine.Engine) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		if eng.Stats().ReportBacklog == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("emitter never drained the report backlog")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestEmitterSinkPanicSupervision is the sink-panic regression satellite:
 // a per-report sink that panics on its 3rd report must not wedge the
 // workers or deadlock Finish (this test runs under -race in the race
@@ -312,7 +300,7 @@ func TestEmitterSinkPanicSupervision(t *testing.T) {
 		StreamOnly:  true,
 		Pipeline:    core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
-	feed(t, st, eng.HandlePacket)
+	feed(t, st, eng.Producer().HandlePacket)
 	if reports := eng.Finish(); reports != nil {
 		t.Fatalf("StreamOnly Finish returned %d reports, want nil", len(reports))
 	}
@@ -352,7 +340,7 @@ func TestEmitterBatchSinkPanicIsolated(t *testing.T) {
 		BatchSink:  faultinject.PanicBatchSink(func([]*core.SessionReport) { batches.Add(1) }, 1),
 		StreamOnly: true,
 	}, tm, sm)
-	feed(t, st, eng.HandlePacket)
+	feed(t, st, eng.Producer().HandlePacket)
 	eng.Finish()
 
 	stats := eng.Stats()
@@ -387,7 +375,7 @@ func TestCheckpointHookPanicPoisoned(t *testing.T) {
 		},
 		Pipeline: core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
-	feed(t, st, eng.HandlePacket)
+	feed(t, st, eng.Producer().HandlePacket)
 	eng.Finish()
 
 	stats := eng.Stats()

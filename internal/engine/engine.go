@@ -10,7 +10,8 @@
 //
 // The handoff between ingest and shards is built from single-producer/
 // single-consumer rings, not locks. Each ingest goroutine holds a Producer
-// (Engine.Producer), and each producer owns a private lane — a lock-free
+// (Engine.Producer — the only way in; the engine has no per-packet entry
+// point of its own), and each producer owns a private lane — a lock-free
 // SPSC ring pair — to every shard. What crosses a lane is never a frame:
 // the paper's method reads only the sizes, directions and timing of a
 // flow's packets, so the producer reduces each frame to a packet.Summary
@@ -33,11 +34,6 @@
 // HandlePacket serves callers that already decoded, summarizing their
 // packet.Decoded. Either way the shard's per-packet work starts at the flow
 // lookup.
-//
-// Engine.HandlePacket/HandleFrame are the legacy shared entry points: they
-// feed one engine-internal producer under a per-shard lock, preserving the
-// original "safe for concurrent use, one goroutine per flow" contract for
-// callers that don't manage Producer handles.
 //
 // # Report path
 //
@@ -67,13 +63,12 @@
 // shard whose flows have all gone silent still evicts on schedule as long
 // as any traffic reaches the tap; manual ExpireIdle remains for monitors
 // whose whole feed goes quiet. Eviction sweeps travel in-band: a sweep is
-// a control message pushed through the electing producer's own lanes, so
-// it is FIFO with every packet that producer already handed in. With
-// several explicit Producers, a sweep orders exactly with the electing
-// producer's stream; other producers' in-flight batches are swept by their
-// own subsequent ticks. Callers that need strict cross-producer eviction
-// ordering should feed flows through the engine-level HandlePacket, whose
-// single shared producer serializes packets and sweeps per shard.
+// a control message pushed through a producer's own lanes, so it orders
+// with the producer that pushed it — FIFO with every packet that producer
+// already handed in, while other producers' in-flight batches are swept by
+// their own subsequent ticks. A caller that needs "sweep after everything I
+// fed" calls Producer.ExpireIdle; Engine.ExpireIdle is out-of-band (a lane
+// of its own, ordered with no producer's packets).
 package engine
 
 import (
@@ -198,8 +193,8 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	// Shards is the worker count.
 	Shards int
-	// PacketsIn counts every frame handed to HandlePacket/HandleFrame,
-	// across all producers.
+	// PacketsIn counts every frame handed to a Producer's HandlePacket or
+	// HandleFrame, summed over all producers.
 	PacketsIn int64
 	// Processed counts packets consumed: those the shard workers have
 	// replayed into their pipelines plus the frames rejected at ingest (see
@@ -405,11 +400,11 @@ type Engine struct {
 	// sums per-producer counters under it; packet paths never take it).
 	prodMu    sync.Mutex
 	producers []*Producer
-	// legacy is the engine-internal producer behind Engine.HandlePacket /
-	// HandleFrame / Flush / ExpireIdle, shared by all callers under the
-	// per-shard legacyMu locks.
-	legacy   *Producer
-	legacyMu []paddedMutex
+	// ctl is the control-only producer behind Engine.ExpireIdle, created on
+	// first use; ctlMu makes its callers one at a time (the lanes are SPSC).
+	// No packet ever crosses it.
+	ctlMu sync.Mutex
+	ctl   *Producer
 
 	finished atomic.Bool
 
@@ -451,23 +446,11 @@ type Engine struct {
 	reports    []*core.SessionReport
 }
 
-// paddedMutex keeps the per-shard legacy locks off each other's cache
-// lines, so two goroutines feeding different shards through the legacy
-// entry points don't false-share.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
-}
-
 // New assembles an engine around trained classifiers. The classifiers are
 // shared across shards (prediction is read-only).
 func New(cfg Config, titles *titleclass.Classifier, stages *stageclass.Classifier) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{
-		cfg:      cfg,
-		shards:   make([]*shard, cfg.Shards),
-		legacyMu: make([]paddedMutex, cfg.Shards),
-	}
+	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	if cfg.Pipeline.FlowTTL > 0 && cfg.TickInterval >= 0 {
 		every := cfg.TickInterval
 		if every == 0 {
@@ -503,27 +486,21 @@ func New(cfg Config, titles *titleclass.Classifier, stages *stageclass.Classifie
 	e.emitScratch = make([]*core.SessionReport, 0, len(e.shards[0].reports.slots))
 	e.emitWG.Add(1)
 	go e.runEmitter()
-	e.legacy = e.registerProducer()
 	return e
 }
 
-// registerProducer builds a producer, wires its lanes, and records it for
-// Stats and Finish.
-func (e *Engine) registerProducer() *Producer {
+// Producer returns a new ingest handle with a private lock-free lane to
+// every shard — the only way into the engine: give each capture goroutine
+// its own Producer and the handoff runs with no shared locks at all. The
+// handle is recorded for Stats and Finish. See the Producer type for the
+// single-goroutine contract.
+func (e *Engine) Producer() *Producer {
 	e.prodMu.Lock()
 	defer e.prodMu.Unlock()
 	p := newProducer(e)
 	//gamelens:transfer-ok registration before any goroutine owns p; read again only after Finish's wg.Wait
 	e.producers = append(e.producers, p)
 	return p
-}
-
-// Producer returns a new ingest handle with a private lock-free lane to
-// every shard — the scaling entry point: give each capture goroutine its
-// own Producer and the handoff runs with no shared locks at all. See the
-// Producer type for the single-goroutine contract.
-func (e *Engine) Producer() *Producer {
-	return e.registerProducer()
 }
 
 // run is one shard's worker loop: drain every lane, feed the shard
@@ -634,125 +611,29 @@ func shardOf(key packet.FlowKey, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// HandlePacket routes one decoded frame to its flow's shard through the
-// engine's shared legacy producer. Only the frame's summary is queued, so
-// the caller may reuse its decode buffers immediately.
-//
-// Multiple goroutines may call HandlePacket concurrently provided each flow
-// is fed from a single goroutine; interleaving packets of one flow across
-// goroutines loses the arrival order the pipeline's slot accounting needs.
-// Goroutines feeding different shards pay no contention beyond the
-// per-shard lock; for a fully lock-free path give each goroutine its own
-// Producer.
-func (e *Engine) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byte) {
-	var s packet.Summary
-	dec.SummaryInto(payload, &s)
-	e.enqueueLegacy(ts, &s)
-	if e.tickEvery > 0 {
-		e.tick(ts, nil)
-	}
-}
-
-// HandleFrame routes one raw Ethernet frame through the engine's shared
-// legacy producer — Producer.HandleFrame's semantics (parsed once at
-// ingest, DecodeErrors accounting) under the legacy concurrency contract.
-func (e *Engine) HandleFrame(ts time.Time, frame []byte) {
-	var s packet.Summary
-	if err := packet.Summarize(frame, &s); err != nil {
-		e.legacy.reject()
-	} else {
-		e.enqueueLegacy(ts, &s)
-	}
-	if e.tickEvery > 0 {
-		e.tick(ts, nil)
-	}
-}
-
-// enqueueLegacy queues one summary through the legacy producer under its
-// shard's lock.
-func (e *Engine) enqueueLegacy(ts time.Time, s *packet.Summary) {
-	si := shardOf(s.Key, len(e.shards))
-	e.legacyMu[si].Lock()
-	e.legacy.enqueue(si, ts, s)
-	e.legacyMu[si].Unlock()
-}
-
-// tick advances the engine-wide packet clock to ts and, when a whole
-// TickInterval has elapsed since the last sweep, runs an expire sweep at
-// the clock instant. The CAS on nextTickNs elects exactly one producer per
-// interval to perform the sweep; the losers return immediately, so the
-// per-packet cost is two atomic loads. The elected producer sweeps through
-// its own lanes (in-band with its stream); a nil p means the legacy path,
-// which sweeps through the shared legacy producer under its locks
-// (ExpireIdle). Called after any per-shard lock is released.
-func (e *Engine) tick(ts time.Time, p *Producer) {
-	now := ts.UnixNano()
-	for {
-		cur := e.clockNs.Load()
-		if cur >= now {
-			now = cur
-			break
-		}
-		if e.clockNs.CompareAndSwap(cur, now) {
-			break
-		}
-	}
-	next := e.nextTickNs.Load()
-	if next == 0 {
-		// First packet: schedule the first sweep one interval out.
-		e.nextTickNs.CompareAndSwap(0, now+e.tickEvery)
-		return
-	}
-	if now < next {
-		return
-	}
-	if !e.nextTickNs.CompareAndSwap(next, now+e.tickEvery) {
-		return // another producer owns this tick
-	}
-	if p != nil {
-		p.expire(time.Unix(0, now))
-		return
-	}
-	e.ExpireIdle(time.Unix(0, now))
-}
-
-// Flush pushes the legacy producer's partially filled batches to their
-// shards without waiting for them to drain. Useful at quiet points of a
-// long-running capture so tail packets are not stuck behind the batch
-// threshold. Explicit producers flush their own pendings
-// (Producer.Flush); this cannot touch them — their batches are
-// single-goroutine property.
-func (e *Engine) Flush() {
-	for si := range e.shards {
-		e.legacyMu[si].Lock()
-		e.legacy.flushShard(si)
-		e.legacyMu[si].Unlock()
-	}
-}
-
 // ExpireIdle advances every shard's lifecycle clock to now (a packet-time
 // instant, not wall time) and sweeps flows idle past Pipeline.FlowTTL,
-// emitting their reports through the merged sink. Each shard normally
-// evicts on its own packet clock, which never advances while the shard's
-// traffic is quiet — exactly when its flows should be expiring. With
-// automatic ticks enabled (Config.TickInterval) the engine sweeps itself
-// from the newest engine-wide capture timestamp; manual calls remain for
-// monitors whose whole feed goes quiet (no packets anywhere to advance the
-// engine clock). The sweep travels through the legacy producer's lanes:
-// its pending batches are flushed first, keeping eviction ordered after
-// every packet already handed in through the engine-level entry points
-// (explicit Producers order sweeps with their own streams instead). The
-// sweep runs asynchronously on the shard workers; it is a no-op without a
-// FlowTTL, and must not be called after Finish.
+// emitting their reports through the merged sink — the manual sweep for a
+// monitor whose whole feed went quiet, when no packet advances any clock
+// and the automatic ticks (Config.TickInterval) have nothing to run on.
+// The sweep is out-of-band: it crosses a control-only lane of its own, so
+// it orders with no producer's packets; to sweep after everything a
+// producer fed, call that producer's ExpireIdle. Safe from any goroutine,
+// alongside running producers; the sweep runs asynchronously on the shard
+// workers. A no-op without a FlowTTL and after Finish.
 func (e *Engine) ExpireIdle(now time.Time) {
 	if e.cfg.Pipeline.FlowTTL <= 0 {
 		return
 	}
-	for si := range e.shards {
-		e.legacyMu[si].Lock()
-		e.legacy.pushControl(si, now)
-		e.legacyMu[si].Unlock()
+	e.ctlMu.Lock()
+	defer e.ctlMu.Unlock()
+	if e.finished.Load() {
+		return
 	}
+	if e.ctl == nil {
+		e.ctl = e.Producer()
+	}
+	e.ctl.ExpireIdle(now)
 }
 
 // Stats reports the engine counters. ShardFlows/ActiveFlows entries are
@@ -797,23 +678,17 @@ func (e *Engine) Stats() Stats {
 // broken by flow key) so the combined result is deterministic regardless
 // of shard count and drain interleaving. Under Config.StreamOnly the sink
 // has already delivered everything and Finish returns nil. Finish is
-// idempotent; no producer (the engine-level entry points included) may be
-// used after — or concurrently with — it.
+// idempotent; no producer may be used after — or concurrently with — it.
 func (e *Engine) Finish() []*core.SessionReport {
 	e.finishOnce.Do(func() {
 		// Flush every producer's pending batches. Producers are contracted
 		// to have stopped, so Finish is the sole goroutine touching their
-		// pendings here; the legacy producer is flushed under its locks
-		// like any legacy call.
+		// pendings here (the control-only producer never has any).
 		e.prodMu.Lock()
 		producers := append([]*Producer(nil), e.producers...)
 		e.prodMu.Unlock()
 		for _, p := range producers {
-			if p == e.legacy {
-				e.Flush()
-			} else {
-				p.Flush()
-			}
+			p.Flush()
 		}
 		for _, s := range e.shards {
 			s.closed.Store(true)

@@ -176,7 +176,7 @@ func TestEngineMatchesPipeline(t *testing.T) {
 			eng := engine.New(engine.Config{
 				Shards: tc.shards, BatchSize: tc.batch, QueueDepth: tc.queue,
 			}, tm, sm)
-			feed(t, st, eng.HandlePacket)
+			feed(t, st, eng.Producer().HandlePacket)
 			got := normalize(eng.Finish())
 			if len(got) != len(want) {
 				t.Fatalf("engine found %d flows, pipeline found %d", len(got), len(want))
@@ -202,7 +202,7 @@ func TestFinishDeterministicOrder(t *testing.T) {
 	var orders [][]string
 	for _, shards := range []int{1, 4, 7} {
 		eng := engine.New(engine.Config{Shards: shards}, tm, sm)
-		feed(t, st, eng.HandlePacket)
+		feed(t, st, eng.Producer().HandlePacket)
 		reports := eng.Finish()
 		var order []string
 		for i, r := range reports {
@@ -302,7 +302,7 @@ func TestStreamedMatchesFinish(t *testing.T) {
 					mu.Unlock()
 				},
 			}, tm, sm)
-			feed(t, st, eng.HandlePacket)
+			feed(t, st, eng.Producer().HandlePacket)
 			finished := eng.Finish()
 			if len(streamed) != len(finished) {
 				t.Fatalf("sink saw %d reports, Finish returned %d", len(streamed), len(finished))
@@ -372,7 +372,7 @@ func TestEngineEvictionBoundsActiveFlows(t *testing.T) {
 				},
 				Pipeline: core.Config{FlowTTL: 15 * time.Second},
 			}, tm, sm)
-			feed(t, st, eng.HandlePacket)
+			feed(t, st, eng.Producer().HandlePacket)
 			reports := eng.Finish()
 			if len(reports) != flows {
 				t.Fatalf("%d reports, want %d", len(reports), flows)
@@ -404,59 +404,115 @@ func TestEngineEvictionBoundsActiveFlows(t *testing.T) {
 	}
 }
 
-// TestEngineExpireIdle pins the quiet-shard eviction path: once a shard's
+// waitStats polls the live Stats until cond holds and returns the snapshot
+// that satisfied it; what names the awaited event for the timeout message.
+func waitStats(t testing.TB, eng *engine.Engine, what string, cond func(engine.Stats) bool) engine.Stats {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := eng.Stats()
+		if cond(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s (stats %+v)", what, st)
+		}
+	}
+}
+
+// waitConsumed blocks until the shard workers have consumed every packet
+// handed in so far (the caller has flushed or closed its producers), so the
+// live Stats that follow are exact and a later out-of-band sweep cannot
+// overtake a queued batch.
+func waitConsumed(t testing.TB, eng *engine.Engine) engine.Stats {
+	t.Helper()
+	return waitStats(t, eng, "the workers to drain", func(st engine.Stats) bool {
+		return st.Processed+st.Dropped == st.PacketsIn
+	})
+}
+
+// TestProducerExpireIdle pins the quiet-shard eviction path: once a shard's
 // own traffic stops, its packet clock freezes and no TTL can fire — until
-// the monitor calls Engine.ExpireIdle with a later packet-time instant,
-// which must sweep the idle flows and stream their reports before Finish.
-func TestEngineExpireIdle(t *testing.T) {
+// the producer that fed it calls ExpireIdle with a later packet-time
+// instant. The sweep is in-band (FIFO behind every packet the producer
+// handed in, flushed or still pending), so at every shard count it must
+// stream, before Finish, exactly the reports — Evicted set — that one
+// core.Pipeline fed the same capture and swept at the same instant emits.
+func TestProducerExpireIdle(t *testing.T) {
 	tm, sm := models(t)
 	st := sharedStream(t)
+	cfg := core.Config{FlowTTL: 30 * time.Second}
 
-	reports := make(chan *core.SessionReport, streamFlows)
-	eng := engine.New(engine.Config{
-		Shards:   4,
-		Sink:     func(r *core.SessionReport) { reports <- r },
-		Pipeline: core.Config{FlowTTL: 30 * time.Second},
-	}, tm, sm)
+	var wantReports []*core.SessionReport
+	pipeCfg := cfg
+	pipeCfg.Sink = func(r *core.SessionReport) { wantReports = append(wantReports, r) }
+	pipe := core.New(pipeCfg, tm, sm)
 	var last time.Time
 	feed(t, st, func(ts time.Time, dec *packet.Decoded, payload []byte) {
-		eng.HandlePacket(ts, dec, payload)
+		pipe.HandlePacket(ts, dec, payload)
 		if ts.After(last) {
 			last = ts
 		}
 	})
+	// All flows are now silent, but the clock is frozen at the last packet.
+	// A sweep instant past every flow's TTL horizon must evict all of them.
+	sweep := last.Add(time.Minute)
+	if n := pipe.ExpireIdle(sweep); n != streamFlows || len(wantReports) != streamFlows {
+		t.Fatalf("baseline sweep evicted %d flows (%d reports), want %d", n, len(wantReports), streamFlows)
+	}
+	want := normalize(wantReports)
 
-	// All flows are now silent, but shard clocks are frozen at each
-	// shard's last packet. A sweep instant past every flow's TTL horizon
-	// must evict all of them — asynchronously, on the shard workers.
-	eng.ExpireIdle(last.Add(time.Minute))
-	evicted := 0
-	deadline := time.After(30 * time.Second)
-	for evicted < streamFlows {
-		select {
-		case r := <-reports:
-			if !r.Evicted {
-				t.Errorf("flow %s report not marked Evicted", r.Flow.Key)
+	shardCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	if raceEnabled {
+		shardCounts = []int{1, 4}
+	}
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			reports := make(chan *core.SessionReport, streamFlows)
+			eng := engine.New(engine.Config{
+				Shards:   shards,
+				Sink:     func(r *core.SessionReport) { reports <- r },
+				Pipeline: cfg,
+			}, tm, sm)
+			p := eng.Producer()
+			feed(t, st, p.HandlePacket)
+			p.ExpireIdle(sweep) // no Flush first: the sweep flushes ahead of itself
+
+			// The sweep runs asynchronously, on the shard workers.
+			var streamed []*core.SessionReport
+			deadline := time.After(30 * time.Second)
+			for len(streamed) < streamFlows {
+				select {
+				case r := <-reports:
+					if !r.Evicted {
+						t.Errorf("flow %s report not marked Evicted", r.Flow.Key)
+					}
+					streamed = append(streamed, r)
+				case <-deadline:
+					t.Fatalf("only %d of %d flows evicted by ExpireIdle", len(streamed), streamFlows)
+				}
 			}
-			evicted++
-		case <-deadline:
-			t.Fatalf("only %d of %d flows evicted by ExpireIdle", evicted, streamFlows)
-		}
-	}
+			got := normalize(streamed)
+			for key, w := range want {
+				if g, ok := got[key]; !ok || g != w {
+					t.Errorf("flow %s diverged (present=%v):\n engine   %+v\n pipeline %+v", key, ok, g, w)
+				}
+			}
 
-	final := eng.Finish()
-	if len(final) != streamFlows {
-		t.Fatalf("Finish returned %d reports, want %d", len(final), streamFlows)
-	}
-	stats := eng.Stats()
-	if int(stats.EvictedFlows) != streamFlows || stats.ActiveFlows != 0 {
-		t.Errorf("evicted=%d active=%d after ExpireIdle, want %d and 0",
-			stats.EvictedFlows, stats.ActiveFlows, streamFlows)
-	}
-	select {
-	case r := <-reports:
-		t.Errorf("unexpected extra report for %s after full eviction", r.Flow.Key)
-	default:
+			final := eng.Finish()
+			if len(final) != streamFlows {
+				t.Fatalf("Finish returned %d reports, want %d", len(final), streamFlows)
+			}
+			stats := eng.Stats()
+			if int(stats.EvictedFlows) != streamFlows || stats.ActiveFlows != 0 {
+				t.Errorf("evicted=%d active=%d after ExpireIdle, want %d and 0",
+					stats.EvictedFlows, stats.ActiveFlows, streamFlows)
+			}
+			select {
+			case r := <-reports:
+				t.Errorf("unexpected extra report for %s after full eviction", r.Flow.Key)
+			default:
+			}
+		})
 	}
 }
 
@@ -480,7 +536,7 @@ func TestStreamOnlyDoesNotRetain(t *testing.T) {
 		},
 		Pipeline: core.Config{FlowTTL: time.Minute},
 	}, tm, sm)
-	feed(t, st, eng.HandlePacket)
+	feed(t, st, eng.Producer().HandlePacket)
 	if got := eng.Finish(); got != nil {
 		t.Errorf("StreamOnly Finish returned %d reports, want nil", len(got))
 	}
@@ -509,7 +565,7 @@ func TestAdaptiveBatchTrickle(t *testing.T) {
 	}
 	eng := engine.New(engine.Config{Shards: 1, BatchSize: 64, FlushLatency: 25 * time.Millisecond}, tm, sm)
 	err := gamesim.ReplayFlow(pkts, gamesim.FlowEndpoints(900),
-		time.Date(2026, 3, 4, 5, 0, 0, 0, time.UTC), eng.HandlePacket)
+		time.Date(2026, 3, 4, 5, 0, 0, 0, time.UTC), eng.Producer().HandlePacket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,12 +586,12 @@ func TestAdaptiveBatchStats(t *testing.T) {
 	// sharedStream packets arrive hundreds per second per flow; with a
 	// 5ms budget the threshold must adapt below the cap.
 	eng := engine.New(engine.Config{Shards: 2, BatchSize: 512, FlushLatency: 5 * time.Millisecond}, tm, sm)
-	feed(t, st, eng.HandlePacket)
+	feed(t, st, eng.Producer().HandlePacket)
 	adapted := eng.Stats()
 	eng.Finish()
 
 	fixed := engine.New(engine.Config{Shards: 2, BatchSize: 512, FlushLatency: -1}, tm, sm)
-	feed(t, st, fixed.HandlePacket)
+	feed(t, st, fixed.Producer().HandlePacket)
 	fixedStats := fixed.Stats()
 	fixed.Finish()
 
@@ -561,7 +617,7 @@ func TestEngineStats(t *testing.T) {
 	st := sharedStream(t)
 	const shards = 4
 	eng := engine.New(engine.Config{Shards: shards}, tm, sm)
-	feed(t, st, eng.HandlePacket)
+	feed(t, st, eng.Producer().HandlePacket)
 	reports := eng.Finish()
 
 	stats := eng.Stats()

@@ -74,20 +74,6 @@ func TestProducerFramesMatchPipeline(t *testing.T) {
 			}
 		}
 	}
-
-	// The legacy shared entry point must agree too: Engine.HandleFrame fed
-	// sequentially, flow by flow (flows are independent, so cross-flow
-	// feeding order is immaterial).
-	eng := engine.New(engine.Config{Shards: 3, BatchSize: 8, QueueDepth: 4}, tm, sm)
-	for i := range st.Flows {
-		st.ReplayOneFrames(i, eng.HandleFrame)
-	}
-	got := normalize(eng.Finish())
-	for key, w := range want {
-		if g, ok := got[key]; !ok || g != w {
-			t.Errorf("legacy HandleFrame: flow %s diverged (present=%v)", key, ok)
-		}
-	}
 }
 
 // TestMultiProducerSameShard contends several explicit producers — half on

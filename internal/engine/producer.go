@@ -85,7 +85,7 @@ func (p *Producer) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byt
 	dec.SummaryInto(payload, &s)
 	p.enqueue(shardOf(s.Key, len(p.e.shards)), ts, &s)
 	if p.e.tickEvery > 0 {
-		p.e.tick(ts, p)
+		p.tick(ts)
 	}
 }
 
@@ -105,7 +105,7 @@ func (p *Producer) HandleFrame(ts time.Time, frame []byte) {
 		p.enqueue(shardOf(s.Key, len(p.e.shards)), ts, &s)
 	}
 	if p.e.tickEvery > 0 {
-		p.e.tick(ts, p)
+		p.tick(ts)
 	}
 }
 
@@ -115,9 +115,43 @@ func (p *Producer) reject() {
 	p.rejected.Add(1)
 }
 
+// tick advances the engine-wide packet clock to ts and, when a whole
+// TickInterval has elapsed since the last sweep, runs an expire sweep at
+// the clock instant. The CAS on nextTickNs elects exactly one producer per
+// interval to perform the sweep; the losers return immediately, so the
+// per-packet cost is two atomic loads. The elected producer sweeps through
+// its own lanes, in-band with its stream.
+func (p *Producer) tick(ts time.Time) {
+	e := p.e
+	now := ts.UnixNano()
+	for {
+		cur := e.clockNs.Load()
+		if cur >= now {
+			now = cur
+			break
+		}
+		if e.clockNs.CompareAndSwap(cur, now) {
+			break
+		}
+	}
+	next := e.nextTickNs.Load()
+	if next == 0 {
+		// First packet: schedule the first sweep one interval out.
+		e.nextTickNs.CompareAndSwap(0, now+e.tickEvery)
+		return
+	}
+	if now < next {
+		return
+	}
+	if !e.nextTickNs.CompareAndSwap(next, now+e.tickEvery) {
+		return // another producer owns this tick
+	}
+	p.ExpireIdle(time.Unix(0, now))
+}
+
 // enqueue appends one summary to shard si's pending batch and hands the
-// batch over once it reaches the lane's threshold. The engine's legacy
-// entry points call it under their per-shard lock.
+// batch over once it reaches the lane's threshold. No lock: the pending
+// batch and the lane's producer end belong to this producer's goroutine.
 func (p *Producer) enqueue(si int, ts time.Time, s *packet.Summary) {
 	p.packetsIn.v.Add(1)
 	pr := &p.pairs[si]
@@ -178,7 +212,9 @@ func (pr *pair) adaptBatch(ts time.Time, budget time.Duration, max int, s *shard
 			eff = 1
 		}
 	}
-	s.effBatch.Store(eff)
+	if s.effBatch.Load() != eff {
+		s.effBatch.Store(eff) // only when it moved: a store per packet is an atomic exchange per packet
+	}
 	return eff
 }
 
@@ -261,11 +297,15 @@ func (p *Producer) pushControl(si int, now time.Time) {
 	p.pushBlocking(si, b)
 }
 
-// expire pushes an expire control at instant now through every lane. The
-// sweep orders exactly with this producer's own stream; batches another
-// producer has queued or pending are swept by that producer's next tick
-// (see the package doc's eviction-ordering note).
-func (p *Producer) expire(now time.Time) {
+// ExpireIdle advances every shard's lifecycle clock to now (a packet-time
+// instant) and sweeps flows idle past Pipeline.FlowTTL, in-band: the
+// producer's pending batches are flushed first and the sweep follows them
+// through the same lanes, so it is FIFO with every packet this producer
+// already handed in. Batches another producer has queued or pending are
+// swept by that producer's next tick (see the package doc's
+// eviction-ordering note). The sweep runs asynchronously on the shard
+// workers and evicts nothing without a FlowTTL.
+func (p *Producer) ExpireIdle(now time.Time) {
 	for si := range p.pairs {
 		p.pushControl(si, now)
 	}

@@ -13,9 +13,10 @@ import (
 	"gamelens/internal/packet"
 )
 
-// TestConcurrentHandlePacket hammers one engine from many producer
-// goroutines (one per flow) while other goroutines poll Stats, then checks
-// the counters and merged reports are coherent. Run it under
+// TestConcurrentHandlePacket hammers one engine from many goroutines (one
+// per flow, each with its own Producer — the deployment shape) while
+// another goroutine polls Stats, then checks the counters and merged
+// reports are coherent. Run it under
 // `go test -race ./internal/engine` — that race pass is the point.
 func TestConcurrentHandlePacket(t *testing.T) {
 	tm, sm := models(t)
@@ -40,9 +41,11 @@ func TestConcurrentHandlePacket(t *testing.T) {
 				gamesim.RandomConfig(rng), gamesim.LabNetwork(),
 				1200+int64(i)*17, gamesim.Options{SessionLength: sessLen})
 			start := base.Add(time.Duration(i) * 311 * time.Millisecond)
+			p := eng.Producer()
+			defer p.Close()
 			err := gamesim.ReplayFlow(s.ExpandPackets(expand), gamesim.FlowEndpoints(i), start,
 				func(ts time.Time, dec *packet.Decoded, payload []byte) {
-					eng.HandlePacket(ts, dec, payload)
+					p.HandlePacket(ts, dec, payload)
 					fed.Add(1)
 				})
 			if err != nil {
@@ -51,8 +54,8 @@ func TestConcurrentHandlePacket(t *testing.T) {
 		}(i)
 	}
 
-	// Concurrent observers: live Stats reads and a mid-stream Flush must be
-	// race-free against the producers.
+	// Concurrent observer: live Stats reads must be race-free against the
+	// producers.
 	stop := make(chan struct{})
 	var obs sync.WaitGroup
 	obs.Add(1)
@@ -68,7 +71,6 @@ func TestConcurrentHandlePacket(t *testing.T) {
 					t.Error("incoherent live stats")
 					return
 				}
-				eng.Flush()
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -99,10 +101,11 @@ func TestConcurrentHandlePacket(t *testing.T) {
 	}
 }
 
-// TestConcurrentSinkConsumer is the lifecycle stress: many producer
-// goroutines feed an engine whose pipelines evict on a short TTL, while the
-// merged sink hands every report to a separate consumer goroutine over a
-// channel and another goroutine polls the lifecycle counters. Run under
+// TestConcurrentSinkConsumer is the lifecycle stress: many goroutines, each
+// with its own Producer, feed an engine whose pipelines evict on a short
+// TTL, while the merged sink hands every report to a separate consumer
+// goroutine over a channel and another goroutine polls the lifecycle
+// counters. Run under
 // `go test -race ./internal/engine` — shard workers pushing report rings
 // concurrently with producers, the emitter invoking the sink, the
 // consumer, and Stats readers is exactly the surface the report path's
@@ -160,16 +163,19 @@ func TestConcurrentSinkConsumer(t *testing.T) {
 				s := gamesim.Generate(gamesim.TitleID(i%int(gamesim.NumTitles)),
 					gamesim.RandomConfig(rng), gamesim.LabNetwork(),
 					1400+int64(i)*23, gamesim.Options{SessionLength: time.Minute})
-				err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(200+i), start,
-					func(ts time.Time, dec *packet.Decoded, payload []byte) {
-						eng.HandlePacket(ts, dec, payload)
-					})
+				p := eng.Producer()
+				defer p.Close()
+				err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(200+i), start, p.HandlePacket)
 				if err != nil {
 					t.Error(err)
 				}
 			}(i)
 		}
 		wg.Wait()
+		// A wave is over once the shards have consumed it: the next wave's
+		// sweeps travel other producers' lanes and must find these flows
+		// whole, not overtake their queued tails.
+		waitConsumed(t, eng)
 	}
 
 	// Observer: live lifecycle counters must stay coherent while flows
@@ -260,9 +266,11 @@ func TestDropOverload(t *testing.T) {
 				1300+int64(i)*7, gamesim.Options{SessionLength: time.Minute})
 			start := base.Add(time.Duration(i) * 97 * time.Millisecond)
 			n := int64(0)
+			p := eng.Producer()
+			defer p.Close()
 			err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(100+i), start,
 				func(ts time.Time, dec *packet.Decoded, payload []byte) {
-					eng.HandlePacket(ts, dec, payload)
+					p.HandlePacket(ts, dec, payload)
 					n++
 				})
 			if err != nil {
@@ -285,5 +293,122 @@ func TestDropOverload(t *testing.T) {
 	// shard pipeline or counted as shed.
 	if stats.Processed+stats.Dropped != fed {
 		t.Errorf("processed %d + dropped %d != fed %d", stats.Processed, stats.Dropped, fed)
+	}
+}
+
+// TestEngineExpireIdleConcurrent drives Engine.ExpireIdle the way an
+// operator does: from a goroutine of its own while several Producers feed.
+// Its first call lands mid-run, so the control-only lane registers through
+// the copy-on-write addQueue path with the workers already draining. The
+// mid-run sweeps sit inside every flow's TTL horizon and must evict
+// nothing; the last one, after the producers closed and the shards drained,
+// evicts everything. Every flow is reported exactly once, the packet
+// accounting balances, and a call after Finish is a no-op. Run under
+// `go test -race ./internal/engine`.
+func TestEngineExpireIdleConcurrent(t *testing.T) {
+	tm, sm := models(t)
+	flows := 6
+	if raceEnabled {
+		flows = 3
+	}
+	const ttl = 45 * time.Second
+	seen := map[string]int{} // emitter-goroutine property until Finish returns
+	notEvicted := 0
+	eng := engine.New(engine.Config{
+		Shards: 4, BatchSize: 16, QueueDepth: 8,
+		Sink: func(r *core.SessionReport) {
+			seen[r.Flow.Key.String()]++
+			if !r.Evicted {
+				notEvicted++
+			}
+		},
+		Pipeline: core.Config{FlowTTL: ttl, SweepInterval: 5 * time.Second},
+	}, tm, sm)
+
+	base := time.Date(2026, 3, 2, 15, 0, 0, 0, time.UTC)
+	var fed atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < flows; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(1500 + int64(i)))
+			s := gamesim.Generate(gamesim.TitleID(i%int(gamesim.NumTitles)),
+				gamesim.RandomConfig(rng), gamesim.LabNetwork(),
+				1500+int64(i)*29, gamesim.Options{SessionLength: time.Minute})
+			p := eng.Producer()
+			defer p.Close()
+			err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(300+i), base,
+				func(ts time.Time, dec *packet.Decoded, payload []byte) {
+					p.HandlePacket(ts, dec, payload)
+					fed.Add(1)
+				})
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+
+	// The operator: once packets are flowing, sweep repeatedly at an instant
+	// less than one TTL past the capture's first packet — no flow, however
+	// far its producer lags, is idle that long.
+	stop := make(chan struct{})
+	var op sync.WaitGroup
+	op.Add(1)
+	go func() {
+		defer op.Done()
+		for eng.Stats().Processed == 0 {
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		for {
+			eng.ExpireIdle(base.Add(ttl - time.Second))
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+
+	wg.Wait()
+	close(stop)
+	op.Wait()
+	if st := waitConsumed(t, eng); st.EvictedFlows != 0 {
+		t.Errorf("mid-run sweeps evicted %d live flows", st.EvictedFlows)
+	}
+	eng.ExpireIdle(base.Add(10 * time.Minute))
+	waitStats(t, eng, "the final sweep to evict every flow",
+		func(st engine.Stats) bool { return st.EvictedFlows == int64(flows) })
+	reports := eng.Finish()
+
+	if len(reports) != flows || len(seen) != flows {
+		t.Fatalf("Finish returned %d reports, sink saw %d distinct flows, want %d", len(reports), len(seen), flows)
+	}
+	for key, n := range seen {
+		if n != 1 {
+			t.Errorf("flow %s reported %d times", key, n)
+		}
+	}
+	if notEvicted != 0 {
+		t.Errorf("%d reports not marked Evicted after the final sweep", notEvicted)
+	}
+	stats := eng.Stats()
+	if stats.PacketsIn != fed.Load() || stats.Processed+stats.Dropped != stats.PacketsIn || stats.Dropped != 0 {
+		t.Errorf("accounting: in=%d processed=%d dropped=%d, fed %d", stats.PacketsIn, stats.Processed, stats.Dropped, fed.Load())
+	}
+
+	// After Finish the sweep has no workers to reach: it must return at
+	// once, however often it is called, and count nothing.
+	for i := 0; i < 1000; i++ {
+		eng.ExpireIdle(base.Add(time.Hour))
+	}
+	if after := eng.Stats(); after.Dropped != 0 || after.PacketsIn != stats.PacketsIn || after.EmittedReports != stats.EmittedReports {
+		t.Errorf("ExpireIdle after Finish moved the counters: %+v", after)
 	}
 }

@@ -66,6 +66,7 @@ func TestSlowSinkShardIsolation(t *testing.T) {
 	}, tm, sm)
 
 	base := time.Date(2026, 3, 3, 9, 0, 0, 0, time.UTC)
+	p := eng.Producer()
 	replay := func(epIdx int, start time.Time) int64 {
 		rng := rand.New(rand.NewSource(2100 + int64(epIdx)))
 		s := gamesim.Generate(gamesim.TitleID(epIdx%int(gamesim.NumTitles)),
@@ -74,7 +75,7 @@ func TestSlowSinkShardIsolation(t *testing.T) {
 		var n int64
 		err := gamesim.ReplayFlow(s.ExpandPackets(20*time.Second), gamesim.FlowEndpoints(epIdx), start,
 			func(ts time.Time, dec *packet.Decoded, payload []byte) {
-				eng.HandlePacket(ts, dec, payload)
+				p.HandlePacket(ts, dec, payload)
 				n++
 			})
 		if err != nil {
@@ -87,31 +88,21 @@ func TestSlowSinkShardIsolation(t *testing.T) {
 	for _, i := range onShard0 {
 		fed += replay(i, base)
 	}
-	eng.Flush()
 	// Evict all three shard-0 sessions: report one is swallowed by the
 	// blocked sink, report two fills the one-slot ring, report three wedges
 	// the shard-0 worker in its push loop.
-	eng.ExpireIdle(base.Add(10 * time.Minute))
+	p.ExpireIdle(base.Add(10 * time.Minute))
 	<-blocked
 
-	waitFor := func(cond func(engine.Stats) bool, what string) {
-		deadline := time.Now().Add(15 * time.Second)
-		for !cond(eng.Stats()) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s (stats %+v)", what, eng.Stats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(func(st engine.Stats) bool { return st.ReportBacklog >= 1 },
-		"shard 0's report ring to back up behind the blocked sink")
+	waitStats(t, eng, "shard 0's report ring to back up behind the blocked sink",
+		func(st engine.Stats) bool { return st.ReportBacklog >= 1 })
 
 	// The property under test: with shard 0's emission wedged, shard 1
 	// still ingests a whole flow to completion.
 	fed += replay(onShard1[0], base)
-	eng.Flush()
-	waitFor(func(st engine.Stats) bool { return st.Processed == fed },
-		"shard 1 to consume its packets while shard 0 is blocked")
+	p.Flush()
+	waitStats(t, eng, "shard 1 to consume its packets while shard 0 is blocked",
+		func(st engine.Stats) bool { return st.Processed == fed })
 
 	close(gate)
 	if reports := eng.Finish(); reports != nil {
@@ -164,16 +155,16 @@ func TestEvictionStormExactlyOnce(t *testing.T) {
 				s := gamesim.Generate(gamesim.TitleID(i%int(gamesim.NumTitles)),
 					gamesim.RandomConfig(rng), gamesim.LabNetwork(),
 					2300+int64(i)*31, gamesim.Options{SessionLength: time.Minute})
-				err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(500+i), start,
-					func(ts time.Time, dec *packet.Decoded, payload []byte) {
-						eng.HandlePacket(ts, dec, payload)
-					})
+				p := eng.Producer()
+				defer p.Close()
+				err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(500+i), start, p.HandlePacket)
 				if err != nil {
 					t.Error(err)
 				}
 			}(i)
 		}
 		wg.Wait()
+		waitConsumed(t, eng) // the next wave's sweeps must not overtake this wave's queued tails
 	}
 	// Wave two starts past wave one's TTL horizon, so its packets drive a
 	// storm of first-wave evictions on every shard at once.

@@ -81,7 +81,7 @@ func TestAutoTickEvictsQuietShard(t *testing.T) {
 		TickInterval: 5 * time.Second,
 		Pipeline:     core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
-	feed(t, st, eng.HandlePacket)
+	feed(t, st, eng.Producer().HandlePacket)
 
 	// A went idle at +15s, TTL expires at +30s, and B's traffic reaches
 	// +60s: the automatic tick must have swept shard 0 during the replay.
@@ -144,22 +144,12 @@ func TestAutoTickDisabled(t *testing.T) {
 		TickInterval: -1,
 		Pipeline:     core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
-	feed(t, st, eng.HandlePacket)
-	eng.Flush()
-	// Drain: wait until the workers have consumed everything so the
-	// stats below are exact, then check nothing was evicted.
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		st := eng.Stats()
-		if st.Processed == st.PacketsIn {
-			if st.EvictedFlows != 0 {
-				t.Errorf("EvictedFlows = %d with ticks disabled, want 0", st.EvictedFlows)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("workers never drained")
-		}
-		time.Sleep(10 * time.Millisecond)
+	p := eng.Producer()
+	feed(t, st, p.HandlePacket)
+	p.Flush()
+	// Drain, so the stats are exact, then check nothing was evicted.
+	if stats := waitConsumed(t, eng); stats.EvictedFlows != 0 {
+		t.Errorf("EvictedFlows = %d with ticks disabled, want 0", stats.EvictedFlows)
 	}
 	eng.Finish()
 }
@@ -198,7 +188,7 @@ func TestRollupCheckpointIdenticalAcrossShards(t *testing.T) {
 				Shards:   shards,
 				Pipeline: core.Config{FlowTTL: 15 * time.Second},
 			}, tm, sm)
-			feed(t, st, eng.HandlePacket)
+			feed(t, st, eng.Producer().HandlePacket)
 			reports := eng.Finish() // order-normalized: sorted by (start, key)
 			if len(reports) != flows {
 				t.Fatalf("%d reports, want %d", len(reports), flows)

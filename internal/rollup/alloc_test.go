@@ -45,7 +45,7 @@ func TestRollupObserveAllocs(t *testing.T) {
 // a fresh bucket and rotates a ring slot that already aggregated a previous
 // lap. The rotated slot must reset its maps and sketches in place — before
 // pooling, each rotation rebuilt both percentile sketches (~1.5 KB of
-// centroids each), the regression BENCH_5 recorded as
+// centroids each), the regression PR 5's bench run recorded as
 // BenchmarkRollupIngest going 4→8 allocs/op.
 func TestRollupRotationAllocs(t *testing.T) {
 	if race.Enabled {

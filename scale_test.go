@@ -11,9 +11,9 @@ import (
 // not be slower than a single shard on the same capture. It guards the
 // monotone shard-scaling property BenchmarkEngineShards measures — the
 // regression this gate exists for was a mutex-guarded handoff that made
-// more shards *slower* (BENCH_5's inverted curve). The gate is
-// deliberately loose (0.9× with best-of-three timing) so it only trips on
-// a real inversion, never on scheduler noise.
+// more shards *slower* (the inverted curve PR 5's bench run recorded). The
+// gate is deliberately loose (0.9× with best-of-three timing) so it only
+// trips on a real inversion, never on scheduler noise.
 //
 // Opt in with SCALEGATE=1: the gate needs wall-clock-meaningful timing and
 // a multi-core box, neither of which a plain `go test ./...` run should
@@ -30,7 +30,7 @@ func TestShardScaleGate(t *testing.T) {
 	st := engineStream(t)
 
 	// Best of three replays per shard count: the minimum wall time is the
-	// least scheduler-disturbed run, the same selection `make bench` uses.
+	// least scheduler-disturbed run.
 	throughput := func(shards int) float64 {
 		best := time.Duration(1<<63 - 1)
 		for run := 0; run < 3; run++ {
