@@ -54,7 +54,8 @@ race:
 # StageFeatureExtractor.Push, Forest.PredictProbaInto, Rollup.Observe
 # (percentile sketch insertion included), Sketch.Add/Merge, packet.Summarize
 # (accepting and rejecting), and a shard's steady-state consume of one
-# batch — must measure 0 allocs/op.
+# batch — must measure 0 allocs/op; TestSnapshotAllocs pins the window
+# checkpoint at the same count for a 40- and a 400-subscriber window.
 allocgate:
 	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/packet ./internal/engine
 
@@ -67,13 +68,19 @@ allocgate:
 sinkgate:
 	$(GO) test -run 'TestEmitterDrainAllocs|TestRollupObserveBatchAllocs' -count=1 ./internal/engine ./internal/rollup
 
-# A few seconds of native fuzzing on the ingest parser's differential
-# property: packet.Summarize errs iff packet.Decode errs, and otherwise
-# yields the summary the decode derives. The seed corpus (every frame shape
-# cut at every length) also runs as a plain test in every `go test`; this
-# step lets the mutator look past it.
+# A few seconds of native fuzzing per target, each on a differential
+# property whose seed corpus also runs as a plain test in every `go test`;
+# this step lets the mutator look past the seeds. FuzzSummarize: the ingest
+# parser errs iff packet.Decode errs, and otherwise yields the summary the
+# decode derives (seeds: every frame shape cut at every length).
+# FuzzRestoreReencode: whatever checkpoint rollup.Restore accepts snapshots
+# again to the bytes the reflection reference encoder writes, and Restore
+# accepts those (seeds: real snapshots cut and bit-flipped). Its inputs are
+# KB-sized, so the minimizer is capped in executions — left at its 60 s
+# default it spends the whole smoke shrinking the first interesting input.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 5s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup
 
 # The benchmark harness lives in a module of its own (bench/, replacing
 # gamelens with ../), so tier-1 neither builds nor runs it: this is where an

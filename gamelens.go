@@ -257,6 +257,16 @@
 //     fixed centroid buffer (allocated once when the bucket rotates).
 //     Retention mode (no StreamOnly) allocates one report per flow, the
 //     price of Finish's complete return value.
+//   - Per checkpoint, partition seal and pending flush: a constant handful,
+//     whatever the number of cells. The window checkpoint is written
+//     straight out of the shards' buckets, under all their locks at once
+//     (one cut across the shards), through one append-style cell encoder
+//     into a recycled buffer — no merged copy of the window, no document
+//     tree, no reflection — and the archive's partition files and pending
+//     tail go through the same encoder. The bytes are those encoding/json
+//     wrote before (the differential tests keep that encoder as the
+//     reference); TestSnapshotAllocs pins the count as independent of the
+//     window's size.
 //
 // Scratch-buffer borrow rules, for callers composing the internals: every
 // `...Into(x, dst)` method (mlkit.Classifier.PredictProbaInto,

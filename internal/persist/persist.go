@@ -20,6 +20,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 )
 
 // File is the writable handle AtomicFS drives: the subset of *os.File the
@@ -180,18 +182,40 @@ type footer struct {
 
 // AppendFooter returns doc with its integrity footer line appended. The
 // document must end with a newline of its own (json.Encoder output does),
-// so the footer line is identifiable as the last line of the file.
+// so the footer line is identifiable as the last line of the file. The line
+// is the footer struct's compact JSON, written with appends (FooterFormat
+// needs no escaping) — doc's spare capacity is used, nothing else allocated.
 func AppendFooter(doc []byte) []byte {
-	f, err := json.Marshal(footer{
-		Format: FooterFormat,
-		Bytes:  len(doc),
-		CRC32:  crc32.ChecksumIEEE(doc),
-	})
-	if err != nil {
-		panic(err) // a struct of string+ints cannot fail to marshal
+	n, crc := len(doc), crc32.ChecksumIEEE(doc)
+	doc = append(doc, `{"format":"`+FooterFormat+`","bytes":`...)
+	doc = strconv.AppendInt(doc, int64(n), 10)
+	doc = append(doc, `,"crc32":`...)
+	doc = strconv.AppendUint(doc, uint64(crc), 10)
+	return append(doc, "}\n"...)
+}
+
+// docPool recycles WriteFooted's document buffers: a checkpointing monitor
+// encodes a few hundred KB every few bucket widths, and a fresh buffer would
+// regrow to that size by doubling on every one of them.
+var docPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteFooted is the write side of every footed document encoded by
+// appending: build appends the document (ending in its own newline) to the
+// recycled buffer it is handed, the integrity footer goes on behind it, and
+// w receives the whole file in a single Write. If build fails, its error is
+// returned as is and nothing is written.
+func WriteFooted(w io.Writer, build func(dst []byte) ([]byte, error)) error {
+	bp := docPool.Get().(*[]byte)
+	defer docPool.Put(bp)
+	doc, err := build((*bp)[:0])
+	if err == nil {
+		doc = AppendFooter(doc)
+		if _, werr := w.Write(doc); werr != nil {
+			err = fmt.Errorf("persist: writing document: %w", werr)
+		}
 	}
-	out := append(doc, f...)
-	return append(out, '\n')
+	*bp = doc[:0] // keep whatever the buffer grew to
+	return err
 }
 
 // SplitFooter validates data's integrity footer and returns the document

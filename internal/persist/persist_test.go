@@ -1,7 +1,10 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -87,5 +90,45 @@ func TestLoad(t *testing.T) {
 	boom := errors.New("boom")
 	if err := Load(path, func(io.Reader) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("reader error not wrapped: %v", err)
+	}
+}
+
+// TestAppendFooterMatchesMarshal pins the appended footer line to the
+// footer struct's own JSON — the form SplitFooter decodes and every file
+// already on disk carries.
+func TestAppendFooterMatchesMarshal(t *testing.T) {
+	for _, doc := range []string{"", "\n", "{}\n", strings.Repeat("{\"k\": 1}\n", 5000)} {
+		line, err := json.Marshal(footer{Format: FooterFormat, Bytes: len(doc), CRC32: crc32.ChecksumIEEE([]byte(doc))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := doc + string(line) + "\n"
+		if got := string(AppendFooter([]byte(doc))); got != want {
+			t.Errorf("AppendFooter(%d bytes) ends %q, want %q", len(doc), got[len(doc):], want[len(doc):])
+		}
+	}
+}
+
+// TestWriteFooted pins the append-side writer: one Write carrying document
+// plus footer, nothing at all when the build fails, and a recycled buffer
+// that never leaks one document's bytes into the next.
+func TestWriteFooted(t *testing.T) {
+	var out bytes.Buffer
+	for _, doc := range []string{strings.Repeat("long document\n", 100), "short\n"} {
+		out.Reset()
+		err := WriteFooted(&out, func(dst []byte) ([]byte, error) { return append(dst, doc...), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SplitFooter(out.Bytes())
+		if err != nil || string(got) != doc {
+			t.Fatalf("SplitFooter = %q, %v; want %q", got, err, doc)
+		}
+	}
+	out.Reset()
+	boom := errors.New("boom")
+	err := WriteFooted(&out, func(dst []byte) ([]byte, error) { return append(dst, "half a docu"...), boom })
+	if !errors.Is(err, boom) || out.Len() != 0 {
+		t.Fatalf("failed build: err = %v, %d bytes written; want the build's error and nothing written", err, out.Len())
 	}
 }

@@ -5,28 +5,53 @@
 //
 // The encoding is deterministic — subscribers sorted by address, buckets
 // sorted by absolute index, sketch centroids sorted by centroid index, map
-// keys sorted by encoding/json, float64s in Go's shortest round-trip form —
-// so two rollups holding the same window
-// state produce byte-identical checkpoints, and a snapshot-restore-snapshot
-// cycle is the identity. Two rollups fed the same entries reach the same
-// state whenever no entry was late-dropped (see the package comment's
-// ingest-order caveat): in particular, the engine's order-normalized
-// Finish output yields byte-identical checkpoints at every shard count. Stale buckets and fully aged-out subscribers are pruned at
+// keys sorted bytewise, float64s in Go's shortest round-trip form — so two
+// rollups holding the same window state produce byte-identical checkpoints,
+// and a snapshot-restore-snapshot cycle is the identity. Two rollups fed the
+// same entries reach the same state whenever no entry was late-dropped (see
+// the package comment's ingest-order caveat): in particular, the engine's
+// order-normalized Finish output yields byte-identical checkpoints at every
+// shard count. Stale buckets and fully aged-out subscribers are pruned at
 // snapshot time (they can never re-enter the window: the clock is
 // monotonic), which keeps the document canonical and its size bounded by
 // the live window.
+//
+// Writing is in place and by appending. Rollup.Snapshot and Sharded.Snapshot
+// are one routine, snapshotViews, over one view or a Sharded's shards: it
+// takes every view's lock in slice (shard-index) order — nothing else in the
+// package holds two rollup locks at once (Merge locks tap, then receiver,
+// one at a time), so the order cannot deadlock — and holds them for the
+// encode only, which makes the document one atomic cut across the shards:
+// one clock (the newest), summed counters, every bucket judged live against
+// that clock. It then walks the subscribers, sorted by address, and streams
+// each live, non-empty bucket of each ring — oldest slot forward, which is
+// bucket order — through the one cell encoder (cell.go) into a recycled
+// buffer (persist.WriteFooted). No merged copy of the window is built, no
+// document tree, nothing is reflected over. The bytes are exactly those
+// encoding/json wrote for checkpointJSON (format gamelens-rollup-v3 did not
+// move; the differential tests and FuzzRestoreReencode hold the encoder to
+// the reflection one, which survives in encode_test.go); the structs below
+// stay because Restore still decodes through them. One case cannot be
+// written in place: the same address resident in two views (subscribers are
+// hash-routed to one shard, but Shard(i).Observe can bypass the routing),
+// whose buckets must be summed first. The sorted walk sees the duplicate
+// before anything is encoded, and that snapshot alone goes through the
+// Merged() fold — a choice made from the data, not a setting.
 
 package rollup
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
+	"gamelens/internal/canonjson"
 	"gamelens/internal/persist"
 	"gamelens/internal/sketch"
 )
@@ -66,50 +91,143 @@ type bucketJSON struct {
 
 // Snapshot writes the canonical checkpoint document to w.
 func (r *Rollup) Snapshot(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	doc := checkpointJSON{
-		Format:   checkpointFormat,
-		WindowNs: int64(r.cfg.Window),
-		Buckets:  r.cfg.Buckets,
-		Ingested: r.ingested,
-		Late:     r.late,
-		Subs:     []subscriberJSON{},
-	}
-	if r.hasClock {
-		doc.Clock = time.Unix(0, r.clockNs).UTC().Format(time.RFC3339Nano)
-	}
-	addrs := make([]netip.Addr, 0, len(r.subs))
-	//gamelens:sorted keys are collected here and sorted just below
-	for addr := range r.subs {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Compare(addrs[j]) < 0 })
-	for _, addr := range addrs {
-		sub := r.subs[addr]
-		sj := subscriberJSON{Addr: addr.String()}
-		for i := range sub.ring {
-			b := &sub.ring[i]
-			if b.idx != noBucket && r.liveLocked(b.idx) && b.counts.Sessions > 0 {
-				sj.Buckets = append(sj.Buckets, bucketJSON{Idx: b.idx, Counts: b.counts})
+	return snapshotViews(w, []*Rollup{r})
+}
+
+// errSplitSubscriber is snapshotViews' refusal: one address is resident in
+// two views, so its buckets would have to be summed before they could be
+// written. Sharded.Snapshot answers it with the Merged() fold.
+var errSplitSubscriber = errors.New("rollup: subscriber resident in two views")
+
+// subRef is one subscriber of one view, referenced in place.
+type subRef struct {
+	addr netip.Addr
+	sub  *subscriber
+}
+
+// snapshotViews writes the v3 checkpoint of the window the views hold
+// between them — one Rollup, or a Sharded's shards (identical geometry,
+// disjoint subscribers) — straight out of their own memory. Every view's
+// lock is taken, in slice order, for the length of the encode (not of the
+// write), so the document is one cut across all of them: its clock is the
+// newest view clock, its counters the sums, and every bucket is judged live
+// against that one clock, exactly the state Merged() would have built. On
+// any error, errSplitSubscriber included, nothing has been written to w.
+func snapshotViews(w io.Writer, views []*Rollup) error {
+	return persist.WriteFooted(w, func(dst []byte) ([]byte, error) {
+		for _, v := range views {
+			v.mu.Lock()
+		}
+		defer func() {
+			for _, v := range views {
+				v.mu.Unlock()
+			}
+		}()
+		geom := views[0] // cfg, wNs and pos are the same for every view
+		var clockNs, ingested, late int64
+		hasClock, resident := false, 0
+		for _, v := range views {
+			if v.hasClock && (!hasClock || v.clockNs > clockNs) {
+				clockNs, hasClock = v.clockNs, true
+			}
+			ingested += v.ingested
+			late += v.late
+			resident += len(v.subs)
+		}
+
+		dst = append(dst, "{\n \"format\": \""+checkpointFormat+"\",\n \"window_ns\": "...)
+		dst = strconv.AppendInt(dst, int64(geom.cfg.Window), 10)
+		dst = append(dst, ",\n \"buckets\": "...)
+		dst = strconv.AppendInt(dst, int64(geom.cfg.Buckets), 10)
+		if hasClock {
+			dst = append(dst, ",\n \"clock\": \""...)
+			dst = time.Unix(0, clockNs).UTC().AppendFormat(dst, time.RFC3339Nano)
+			dst = append(dst, '"')
+		}
+		dst = append(dst, ",\n \"ingested\": "...)
+		dst = strconv.AppendInt(dst, ingested, 10)
+		dst = appendOptInt(dst, 1, `"late": `, late)
+		dst = append(dst, ",\n \"subscribers\": ["...)
+		if !hasClock {
+			return append(dst, "]\n}\n"...), nil // no clock, no live bucket
+		}
+
+		refs := make([]subRef, 0, resident)
+		for _, v := range views {
+			//gamelens:sorted references are collected here and sorted just below
+			for addr, sub := range v.subs {
+				refs = append(refs, subRef{addr, sub})
 			}
 		}
-		if len(sj.Buckets) == 0 {
-			continue // fully aged out; prune from the checkpoint
+		slices.SortFunc(refs, func(a, b subRef) int { return a.addr.Compare(b.addr) })
+		for i := 1; i < len(refs); i++ {
+			if refs[i].addr == refs[i-1].addr {
+				return dst, errSplitSubscriber
+			}
 		}
-		sort.Slice(sj.Buckets, func(i, j int) bool { return sj.Buckets[i].Idx < sj.Buckets[j].Idx })
-		doc.Subs = append(doc.Subs, sj)
+
+		horizon := FloorDiv(clockNs, geom.wNs) - int64(geom.cfg.Buckets)
+		oldest := geom.pos(horizon + 1)
+		var slots []int // grows to a ring's length at most; never sized from cfg, which Restore does not bound
+		written := 0
+		for _, ref := range refs {
+			slots = liveSlots(slots[:0], ref.sub.ring, oldest, horizon)
+			if len(slots) == 0 {
+				continue // fully aged out; prune from the checkpoint
+			}
+			if written > 0 {
+				dst = append(dst, ',')
+			}
+			written++
+			dst = append(dst, "\n  {\n   \"addr\": "...)
+			dst = canonjson.Addr(dst, ref.addr)
+			dst = append(dst, ",\n   \"buckets\": ["...)
+			for i, slot := range slots {
+				b := &ref.sub.ring[slot]
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, "\n    {\n     \"idx\": "...)
+				dst = strconv.AppendInt(dst, b.idx, 10)
+				dst = append(dst, ",\n     \"counts\": "...)
+				var err error
+				if dst, err = b.counts.AppendJSON(dst, 5); err != nil {
+					return dst, fmt.Errorf("rollup: encoding checkpoint: subscriber %s bucket %d: %w", ref.addr, b.idx, err)
+				}
+				dst = append(dst, "\n    }"...)
+			}
+			dst = append(dst, "\n   ]\n  }"...)
+		}
+		return append(closeArray(dst, 1, written), "\n}\n"...), nil
+	})
+}
+
+// liveSlots appends to slots the ring positions holding a live, non-empty
+// bucket (number above horizon), in ascending bucket number. The ring is a
+// rotation of that order: walking it forward from the oldest live bucket's
+// position meets the buckets oldest first, with no sort. The one exception
+// is a window restored from a document that dates a bucket ahead of its own
+// clock — Restore accepts it, Observe cannot produce it — which breaks the
+// rotation; the walk notices and sorts that subscriber's handful of slots.
+func liveSlots(slots []int, ring []bucket, oldest int, horizon int64) []int {
+	ascending, prev := true, int64(noBucket)
+	for k := range ring {
+		slot := oldest + k
+		if slot >= len(ring) {
+			slot -= len(ring)
+		}
+		b := &ring[slot]
+		if b.idx <= horizon || b.counts.Sessions <= 0 {
+			continue // noBucket is below every horizon
+		}
+		ascending = ascending && b.idx > prev
+		prev = b.idx
+		slots = append(slots, slot)
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("rollup: encoding checkpoint: %w", err)
+	if !ascending {
+		slices.SortFunc(slots, func(i, j int) int { return cmp.Compare(ring[i].idx, ring[j].idx) })
 	}
-	if _, err := w.Write(persist.AppendFooter(buf.Bytes())); err != nil {
-		return fmt.Errorf("rollup: writing checkpoint: %w", err)
-	}
-	return nil
+	return slots
 }
 
 // Restore rebuilds a rollup from a checkpoint written by Snapshot. The

@@ -54,7 +54,10 @@ func (r *Rollup) Merge(tap *Rollup) error {
 	}
 
 	// Extract tap's state under its own lock first — deep copies, so the
-	// fold below can own what it inserts.
+	// fold below can own what it inserts. Only slots live under tap's own
+	// clock are copied: the merged clock is never older than tap's, so a
+	// bucket tap has already aged out is one the fold would drop anyway, and
+	// cloning it first cost two sketch buffers per stale slot.
 	type tapBucket struct {
 		addr   netip.Addr
 		idx    int64
@@ -68,7 +71,7 @@ func (r *Rollup) Merge(tap *Rollup) error {
 	for addr, sub := range tap.subs {
 		for i := range sub.ring {
 			b := &sub.ring[i]
-			if b.idx != noBucket {
+			if b.idx != noBucket && tap.liveLocked(b.idx) {
 				buckets = append(buckets, tapBucket{addr: addr, idx: b.idx, counts: b.counts.Clone()})
 			}
 		}

@@ -11,10 +11,20 @@
 // per-shard clock that may trail the global one, so exact equivalence
 // holds whenever no entry straddles the window horizon, the same
 // condition under which a single rollup is itself order-independent.
+//
+// Snapshot does not build that merged view. Hash routing puts a subscriber
+// in exactly one shard, so the merged window's checkpoint is the shards'
+// own buckets written in address order under the merged clock:
+// snapshotViews (checkpoint.go) locks every shard in index order, encodes
+// in place, and unlocks — one cut across all shards, no Counts.Clone.
+// Merged() remains for callers that query the view (classify's dashboard,
+// rollupmerge) and as Snapshot's fallback when an address turns up in two
+// shards.
 
 package rollup
 
 import (
+	"errors"
 	"io"
 	"net/netip"
 	"time"
@@ -184,8 +194,14 @@ func (s *Sharded) Merged() (*Rollup, error) {
 // Snapshot writes the merged window as one canonical checkpoint — the
 // same bytes a single-rollup run of the same entries would write, so
 // sharded and unsharded monitors' checkpoints interoperate (Restore,
-// rollupmerge) with no format distinction.
+// rollupmerge) with no format distinction. The shards are written in place
+// under all their locks (see the file comment); only a window holding one
+// address in two shards is folded through Merged() first.
 func (s *Sharded) Snapshot(w io.Writer) error {
+	err := snapshotViews(w, s.shards)
+	if !errors.Is(err, errSplitSubscriber) {
+		return err
+	}
 	m, err := s.Merged()
 	if err != nil {
 		return err

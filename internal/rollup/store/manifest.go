@@ -24,7 +24,9 @@ import (
 	"math"
 	"net/netip"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"gamelens/internal/persist"
@@ -110,31 +112,9 @@ type pendingPartJSON struct {
 // flushPendingLocked persists the unsealed tail (canonical order:
 // partitions by start, subscribers by address).
 func (s *Store) flushPendingLocked() error {
-	doc := pendingJSON{Format: pendingFormat, Ingested: s.ingested, Late: s.late,
-		Parts: []pendingPartJSON{}}
-	if s.hasClock {
-		doc.Clock = time.Unix(0, s.clockNs).UTC().Format(time.RFC3339Nano)
-	}
-	if s.hasSealedBelow {
-		doc.SealedBelow = time.Unix(0, s.sealedBelowNs).UTC().Format(time.RFC3339Nano)
-	}
-	starts := make([]int64, 0, len(s.pending))
-	//gamelens:sorted keys are collected here and sorted just below
-	for start := range s.pending {
-		starts = append(starts, start)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, start := range starts {
-		p := s.pending[start]
-		pj := pendingPartJSON{StartNs: start, Subs: make([]partSubJSON, 0, len(p.subs))}
-		for _, c := range sortedCells(p.subs) {
-			pj.Subs = append(pj.Subs, partSubJSON{Addr: c.addr.String(), Counts: c.counts})
-		}
-		doc.Parts = append(doc.Parts, pj)
-	}
 	path := filepath.Join(s.cfg.Dir, pendingName)
 	err := persist.AtomicFS(s.cfg.FS, path, func(w io.Writer) error {
-		return writeFooted(w, &doc)
+		return persist.WriteFooted(w, s.appendPendingLocked)
 	})
 	if err != nil {
 		return fmt.Errorf("store: flushing pending tail: %w", err)
@@ -142,6 +122,55 @@ func (s *Store) flushPendingLocked() error {
 	s.sinceFlush = 0
 	s.pendingDirty = false
 	return nil
+}
+
+// appendPendingLocked appends the pendingJSON document.
+func (s *Store) appendPendingLocked(dst []byte) ([]byte, error) {
+	dst = append(dst, "{\n \"format\": \""+pendingFormat+"\""...)
+	if s.hasClock {
+		dst = appendInstant(dst, `"clock": `, s.clockNs)
+	}
+	dst = append(dst, ",\n \"ingested\": "...)
+	dst = strconv.AppendInt(dst, s.ingested, 10)
+	if s.late != 0 {
+		dst = append(dst, ",\n \"late\": "...)
+		dst = strconv.AppendInt(dst, s.late, 10)
+	}
+	if s.hasSealedBelow {
+		dst = appendInstant(dst, `"sealed_below": `, s.sealedBelowNs)
+	}
+	dst = append(dst, ",\n \"partitions\": ["...)
+	starts := make([]int64, 0, len(s.pending))
+	//gamelens:sorted keys are collected here and sorted just below
+	for start := range s.pending {
+		starts = append(starts, start)
+	}
+	slices.Sort(starts)
+	for i, start := range starts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n  {\n   \"start_ns\": "...)
+		dst = strconv.AppendInt(dst, start, 10)
+		var err error
+		if dst, err = appendCells(dst, 3, sortedCells(s.pending[start].subs)); err != nil {
+			return dst, err
+		}
+		dst = append(dst, "\n  }"...)
+	}
+	if len(starts) > 0 {
+		dst = append(dst, "\n "...)
+	}
+	return append(dst, "]\n}\n"...), nil
+}
+
+// appendInstant appends a depth-1 `"key": "RFC3339Nano"` member.
+func appendInstant(dst []byte, key string, ns int64) []byte {
+	dst = append(dst, ",\n "...)
+	dst = append(dst, key...)
+	dst = append(dst, '"')
+	dst = time.Unix(0, ns).UTC().AppendFormat(dst, time.RFC3339Nano)
+	return append(dst, '"')
 }
 
 // loadPending restores the unsealed tail. A corrupt pending document is

@@ -5,11 +5,20 @@
 // quarantined, and recompacted from its sources instead of mis-loading).
 //
 // The encoding is deterministic: subscribers sorted by address, map keys
-// sorted by encoding/json, float64s in shortest round-trip form. Two
-// stores sealing the same cells — at any engine shard count, through any
-// checkpoint round trip — produce byte-identical partition files, which is
-// what lets the compaction tests pin byte equality rather than semantic
-// equality.
+// sorted bytewise, float64s in shortest round-trip form. Two stores sealing
+// the same cells — at any engine shard count, through any checkpoint round
+// trip — produce byte-identical partition files, which is what lets the
+// compaction tests pin byte equality rather than semantic equality.
+//
+// Documents that carry cells (partitions here, the pending tail in
+// manifest.go) are written by appending: a few lines of shell around
+// appendCells, which hands every cell to rollup.Counts.AppendJSON — the one
+// cell encoder the window checkpoint uses — into persist.WriteFooted's
+// recycled buffer. The bytes are what encoding/json wrote for
+// partitionJSON/pendingJSON (encode_test.go keeps that encoding as the
+// reference); the structs stay for the loaders, which still decode through
+// them, and writeFooted's reflection path stays for the manifest, which
+// holds no cells.
 
 package store
 
@@ -26,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"gamelens/internal/canonjson"
 	"gamelens/internal/persist"
 	"gamelens/internal/rollup"
 )
@@ -77,25 +87,55 @@ func parsePartName(name string) (Tier, int64, bool) {
 // by address — seal and compact both produce sorted cells, and load
 // rejects unsorted files).
 func encodePartition(w io.Writer, p *partData, spanNs int64) error {
-	doc := partitionJSON{
-		Format:  partitionFormat,
-		Tier:    p.tier.String(),
-		StartNs: p.startNs,
-		SpanNs:  spanNs,
-		Subs:    make([]partSubJSON, 0, len(p.cells)),
-	}
-	for i := range p.cells {
-		doc.Subs = append(doc.Subs, partSubJSON{
-			Addr:   p.cells[i].addr.String(),
-			Counts: p.cells[i].counts,
-		})
-	}
-	return writeFooted(w, &doc)
+	return persist.WriteFooted(w, func(dst []byte) ([]byte, error) {
+		dst = append(dst, "{\n \"format\": \""+partitionFormat+"\",\n \"tier\": "...)
+		dst = canonjson.String(dst, p.tier.String())
+		dst = append(dst, ",\n \"start_ns\": "...)
+		dst = strconv.AppendInt(dst, p.startNs, 10)
+		dst = append(dst, ",\n \"span_ns\": "...)
+		dst = strconv.AppendInt(dst, spanNs, 10)
+		dst, err := appendCells(dst, 1, p.cells)
+		return append(dst, "\n}\n"...), err
+	})
 }
 
-// writeFooted encodes doc as indented JSON with the integrity footer —
-// the one serialization path every store document (partition, manifest,
-// pending) shares.
+// appendCells appends the `"subscribers": [...]` member both cell-carrying
+// documents (partition, pending) end their objects with, its key at depth:
+// one {addr, counts} object per cell, the counts through the one cell codec
+// the window checkpoint uses (rollup.Counts.AppendJSON).
+func appendCells(dst []byte, depth int, cells []cell) ([]byte, error) {
+	dst = append(dst, ',')
+	dst = canonjson.Newline(dst, depth)
+	dst = append(dst, `"subscribers": [`...)
+	for i := range cells {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = canonjson.Newline(dst, depth+1)
+		dst = append(dst, '{')
+		dst = canonjson.Newline(dst, depth+2)
+		dst = append(dst, `"addr": `...)
+		dst = canonjson.Addr(dst, cells[i].addr)
+		dst = append(dst, ',')
+		dst = canonjson.Newline(dst, depth+2)
+		dst = append(dst, `"counts": `...)
+		var err error
+		if dst, err = cells[i].counts.AppendJSON(dst, depth+2); err != nil {
+			return dst, fmt.Errorf("store: encoding document: subscriber %s: %w", cells[i].addr, err)
+		}
+		dst = canonjson.Newline(dst, depth+1)
+		dst = append(dst, '}')
+	}
+	if len(cells) > 0 {
+		dst = canonjson.Newline(dst, depth)
+	}
+	return append(dst, ']'), nil
+}
+
+// writeFooted encodes doc as indented JSON with the integrity footer — the
+// reflection path, kept for the manifest, which holds no cells. (The tests
+// also run the cell-carrying documents through it, as the reference the
+// append encoders above are held to.)
 func writeFooted(w io.Writer, doc any) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

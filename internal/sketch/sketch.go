@@ -41,6 +41,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+
+	"gamelens/internal/canonjson"
 )
 
 // Config fixes a sketch's centroid geometry. Two sketches are mergeable iff
@@ -264,6 +267,66 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(doc)
+}
+
+// AppendJSON appends the canonical encoding as the document encoders lay it
+// out — the bytes MarshalJSON's object becomes once encoding/json has
+// indented it with SetIndent("", " ") at nesting depth depth (the depth of
+// the line the opening brace sits on) — straight from the centroid buffer:
+// no sketchJSON, no pair slice, no second pass. The rollup's cell encoder
+// calls it for both sketches of every cell it writes; the tests hold it to
+// MarshalJSON byte for byte.
+func (s *Sketch) AppendJSON(dst []byte, depth int) ([]byte, error) {
+	var err error
+	dst = append(dst, '{')
+	for i, f := range [...]struct {
+		key string
+		v   float64
+	}{{`"alpha": `, s.cfg.Alpha}, {`"min": `, s.cfg.Min}, {`"max": `, s.cfg.Max}} {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = canonjson.Newline(dst, depth+1)
+		dst = append(dst, f.key...)
+		if dst, err = canonjson.Float(dst, f.v); err != nil {
+			return dst, err
+		}
+	}
+	if s.zero != 0 {
+		dst = append(dst, ',')
+		dst = canonjson.Newline(dst, depth+1)
+		dst = append(dst, `"zero": `...)
+		dst = strconv.AppendInt(dst, s.zero, 10)
+	}
+	first := true
+	for i, n := range s.counts {
+		if n == 0 {
+			continue
+		}
+		if first {
+			dst = append(dst, ',')
+			dst = canonjson.Newline(dst, depth+1)
+			dst = append(dst, `"centroids": [`...)
+			first = false
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = canonjson.Newline(dst, depth+2)
+		dst = append(dst, '[')
+		dst = canonjson.Newline(dst, depth+3)
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, ',')
+		dst = canonjson.Newline(dst, depth+3)
+		dst = strconv.AppendInt(dst, n, 10)
+		dst = canonjson.Newline(dst, depth+2)
+		dst = append(dst, ']')
+	}
+	if !first {
+		dst = canonjson.Newline(dst, depth+1)
+		dst = append(dst, ']')
+	}
+	dst = canonjson.Newline(dst, depth)
+	return append(dst, '}'), nil
 }
 
 // UnmarshalJSON rebuilds a sketch from its canonical encoding, validating

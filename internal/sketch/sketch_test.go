@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -215,4 +216,50 @@ func TestCloneAndGeometry(t *testing.T) {
 		}
 	}()
 	s.Merge(other)
+}
+
+// TestAppendJSONMatchesMarshal holds the append encoder to MarshalJSON: at
+// every nesting depth it writes what encoding/json's indenter makes of the
+// marshalled object — for an empty sketch (no centroids member), a
+// zero-only one, odd geometries with 'e'-form floats, and a populated one.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	empty := New(Config{})
+	zeros := New(Config{})
+	zeros.Add(0)
+	zeros.Add(-3)
+	odd := New(Config{Alpha: 1e-7 + 0.01, Min: 2.5e-9, Max: 3e22})
+	odd.Add(1e-12)
+	odd.Add(1e30)
+	full := New(Config{})
+	for _, v := range values(400) {
+		full.Add(v)
+	}
+	full.Add(0)
+	recycled := New(Config{})
+	recycled.Add(7)
+	recycled.Reset()
+	for name, s := range map[string]*Sketch{"empty": empty, "zeros": zeros, "odd": odd, "full": full, "recycled": recycled} {
+		compact, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for depth := 0; depth < 8; depth++ {
+			var want bytes.Buffer
+			if err := json.Indent(&want, compact, strings.Repeat(" ", depth), " "); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.AppendJSON([]byte("x"), depth)
+			if err != nil {
+				t.Fatalf("%s: AppendJSON: %v", name, err)
+			}
+			if !bytes.Equal(got[1:], want.Bytes()) {
+				t.Fatalf("%s at depth %d:\n%s\nencoding/json writes:\n%s", name, depth, got[1:], want.Bytes())
+			}
+		}
+	}
+	bad := New(Config{})
+	bad.cfg.Max = math.Inf(1)
+	if _, err := bad.AppendJSON(nil, 0); err == nil {
+		t.Error("AppendJSON encoded an infinite geometry; MarshalJSON refuses it")
+	}
 }
