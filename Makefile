@@ -75,12 +75,16 @@ sinkgate:
 # decode derives (seeds: every frame shape cut at every length).
 # FuzzRestoreReencode: whatever checkpoint rollup.Restore accepts snapshots
 # again to the bytes the reflection reference encoder writes, and Restore
-# accepts those (seeds: real snapshots cut and bit-flipped). Its inputs are
-# KB-sized, so the minimizer is capped in executions — left at its 60 s
-# default it spends the whole smoke shrinking the first interesting input.
+# accepts those (seeds: real snapshots cut and bit-flipped).
+# FuzzPartitionReencode: the same property for the archive's one partition
+# decoder, store.ReadPartitionFile, against encodePartition (seeds: real
+# sealed and compacted partitions cut and bit-flipped). The two loaders'
+# inputs are KB-sized, so the minimizer is capped in executions — left at its
+# 60 s default it spends the whole smoke shrinking the first interesting input.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 5s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup
+	$(GO) test -run '^$$' -fuzz '^FuzzPartitionReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup/store
 
 # The benchmark harness lives in a module of its own (bench/, replacing
 # gamelens with ../), so tier-1 neither builds nor runs it: this is where an

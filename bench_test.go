@@ -397,7 +397,7 @@ func BenchmarkSteadyState(b *testing.B) {
 				ru := NewShardedRollup(shards, RollupConfig{Window: time.Hour, Buckets: 12})
 				eng := NewEngine(EngineConfig{
 					Shards:     shards,
-					BatchSink:  ru.BatchSink(),
+					BatchSink:  ru.ObserveReports,
 					StreamOnly: true,
 					Pipeline:   PipelineConfig{FlowTTL: 15 * time.Second},
 				}, m)

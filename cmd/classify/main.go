@@ -37,7 +37,10 @@
 // generation-numbered sibling (FILE.gen-N) left by a crashed run — is
 // restored (a restarted monitor resumes its aggregations, unsharded — a
 // checkpoint cannot be re-partitioned), corrupt candidates are quarantined
-// aside as FILE.corrupt-N and logged, and the scan degrades to the
+// aside under their own name (the base file as FILE.corrupt-K, a generation
+// as FILE.gen-N.corrupt-K, K the first free number, so repeated corruption
+// keeps every copy) and logged, temp files a crashed write left behind
+// (FILE.tmp-*, FILE.gen-N.tmp-*) are removed, and the scan degrades to the
 // previous generation instead of crash-looping. At end of run the window
 // is atomically rewritten to the base path; if that final write fails
 // after bounded retries, classify exits non-zero naming the failure — a
@@ -275,15 +278,14 @@ func run(args []string, stdout io.Writer) error {
 	// one lock acquisition per drained shard batch instead of one per report.
 	switch {
 	case ru != nil && arch != nil:
-		ruSink, archSink := ru.BatchSink(), arch.BatchSink()
 		cfg.BatchSink = func(reports []*gamelens.SessionReport) {
-			ruSink(reports)
-			archSink(reports)
+			ru.ObserveReports(reports)
+			arch.ObserveReports(reports)
 		}
 	case ru != nil:
-		cfg.BatchSink = ru.BatchSink()
+		cfg.BatchSink = ru.ObserveReports
 	case arch != nil:
-		cfg.BatchSink = arch.BatchSink()
+		cfg.BatchSink = arch.ObserveReports
 	}
 	// Periodic durability: a Checkpointer over the live window, ticked by
 	// the emitter after each drain, numbered from one past whatever the

@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"gamelens"
+	"gamelens/internal/rollup"
 )
 
 // usageLine is the one authoritative usage string: flag.Usage prints it,
@@ -202,20 +203,10 @@ func partitionGeometry(inputs []input) gamelens.RollupConfig {
 		}
 	}
 	w := int64(width)
-	startNs = floorDiv(startNs, w) * w
-	endNs = -floorDiv(-endNs, w) * w
+	startNs = rollup.FloorDiv(startNs, w) * w // partition starts below the epoch are legal
+	endNs = -rollup.FloorDiv(-endNs, w) * w
 	buckets := int((endNs - startNs) / w)
 	return gamelens.RollupConfig{Window: time.Duration(buckets) * width, Buckets: buckets}
-}
-
-// floorDiv is integer division rounding toward negative infinity (partition
-// starts below the epoch are legal).
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 // parseRange parses the -from/-to bounds; an empty bound is unbounded.

@@ -78,7 +78,7 @@
 // single-rollup run of the same entries (checkpoints included), because
 // each session is observed by exactly one shard and merge is cell-wise
 // union-sum. Wire it to an engine with
-// EngineConfig{BatchSink: ru.BatchSink()}: the emitter then folds each
+// EngineConfig{BatchSink: ru.ObserveReports}: the emitter then folds each
 // drained run under one lock acquisition per shard batch
 // (Rollup.ObserveBatch) instead of one per report.
 //
@@ -133,9 +133,9 @@
 // the union-sum of both taps' sessions (each session must be reported by
 // exactly one tap).
 //
-//	ru := gamelens.NewRollup(gamelens.RollupConfig{Window: time.Hour})
+//	ru := gamelens.NewShardedRollup(4, gamelens.RollupConfig{Window: time.Hour})
 //	eng := gamelens.NewEngine(gamelens.EngineConfig{
-//	    Sink:       ru.Sink(),
+//	    BatchSink:  ru.ObserveReports,
 //	    StreamOnly: true,
 //	    Pipeline:   gamelens.PipelineConfig{FlowTTL: 2 * time.Minute},
 //	}, models)
@@ -182,7 +182,8 @@
 // disk; the recovery point after a crash is at most one checkpoint
 // interval (plus the drain batch in flight) behind. At startup
 // rollup.Recover restores the newest generation that validates and
-// quarantines corrupt ones aside as path.corrupt-N: nothing on disk is a
+// quarantines corrupt ones aside under their own name (FILE.corrupt-K or
+// FILE.gen-N.corrupt-K, first free K): nothing on disk is a
 // cold start, everything corrupt is an error, because silently starting
 // empty would hide data loss.
 //
@@ -396,7 +397,7 @@ type (
 	SubscriberAggregate = rollup.Aggregate
 	// ShardedRollup fans entries across N shard-local rollups — the
 	// aggregation-tier counterpart of Engine over Pipeline (see the package
-	// comment); wire its BatchSink() into EngineConfig.BatchSink.
+	// comment); wire its ObserveReports into EngineConfig.BatchSink.
 	ShardedRollup = rollup.Sharded
 	// ArchiveStore is the tiered historical rollup archive (the package
 	// comment's historical-archive section).
@@ -538,7 +539,7 @@ func ShardedRollupFrom(r *Rollup) *ShardedRollup {
 // Rollup.SaveFile. A missing file surfaces the os.Open error unchanged so
 // monitors can treat it as a cold start.
 func LoadRollup(path string) (*Rollup, error) {
-	return rollup.LoadFile(path)
+	return rollup.LoadFile(nil, path)
 }
 
 // SaveTitleModel writes the title classifier's forest as JSON. The

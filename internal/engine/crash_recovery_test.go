@@ -126,9 +126,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			// recovery-point guarantee, at every shard count.
 			refAt := func(n int) []byte {
 				ref := rollup.New(ckptRollupCfg)
-				sink := ref.Sink()
 				for _, r := range reports[:n] {
-					sink(r)
+					ref.Observe(rollup.FromReport(r))
 				}
 				var buf bytes.Buffer
 				if err := ref.Snapshot(&buf); err != nil {
@@ -232,7 +231,7 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 	})
 	eng := engine.New(engine.Config{
 		Shards:       2,
-		BatchSink:    ru.BatchSink(),
+		BatchSink:    ru.ObserveReports,
 		Checkpoint:   cp.Tick,
 		StreamOnly:   true,
 		Sink:         func(*core.SessionReport) {},
@@ -269,7 +268,7 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 			stats.CheckpointGenerations, stats.CheckpointFailures, written, failed)
 	}
 	for g := int64(1); g <= written; g++ {
-		if _, err := rollup.LoadFileFS(nil, fmt.Sprintf("%s.gen-%d", base, g)); err != nil {
+		if _, err := rollup.LoadFile(nil, fmt.Sprintf("%s.gen-%d", base, g)); err != nil {
 			t.Errorf("live generation %d does not restore: %v", g, err)
 		}
 	}
@@ -278,7 +277,7 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 	if err := cp.Final(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rollup.LoadFileFS(nil, base); err != nil {
+	if _, err := rollup.LoadFile(nil, base); err != nil {
 		t.Errorf("final checkpoint does not restore: %v", err)
 	}
 }

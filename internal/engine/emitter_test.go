@@ -58,7 +58,7 @@ func TestEmitterDrainAllocs(t *testing.T) {
 		t.Skip("allocation counts are only pinned without -race instrumentation")
 	}
 	ru := rollup.NewSharded(2, rollup.Config{Window: 24 * time.Hour})
-	e, s := newDrainRig(64, func(*core.SessionReport) {}, ru.BatchSink())
+	e, s := newDrainRig(64, func(*core.SessionReport) {}, ru.ObserveReports)
 	reports := stormReports(32)
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, r := range reports {
@@ -118,7 +118,7 @@ func TestDeliverRetains(t *testing.T) {
 // pkts/s.
 func BenchmarkEmitterDrain(b *testing.B) {
 	ru := rollup.NewSharded(4, rollup.Config{Window: 24 * time.Hour})
-	e, s := newDrainRig(256, func(*core.SessionReport) {}, ru.BatchSink())
+	e, s := newDrainRig(256, func(*core.SessionReport) {}, ru.ObserveReports)
 	reports := stormReports(128)
 	drain := func() {
 		for _, r := range reports {

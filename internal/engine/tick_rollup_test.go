@@ -195,9 +195,8 @@ func TestRollupCheckpointIdenticalAcrossShards(t *testing.T) {
 			}
 
 			ru := rollup.New(rollup.Config{Window: time.Hour, Buckets: 12})
-			sink := ru.Sink()
 			for _, r := range reports {
-				sink(r)
+				ru.Observe(rollup.FromReport(r))
 			}
 			if got := ru.Stats(); got.Ingested != int64(flows) || got.Late != 0 {
 				t.Fatalf("rollup ingested %d late %d, want %d/0", got.Ingested, got.Late, flows)

@@ -53,7 +53,7 @@ func TestAtomicSyncsParentDir(t *testing.T) {
 
 func TestAtomicTornWriteLeavesTargetIntact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
-	if err := persist.Atomic(path, writeDoc("previous")); err != nil {
+	if err := persist.AtomicFS(nil, path, writeDoc("previous")); err != nil {
 		t.Fatal(err)
 	}
 	fs := faultinject.New(nil, faultinject.TornWrite(1, 3))

@@ -1,20 +1,29 @@
-// Package persist provides crash-safe file persistence for checkpoint-style
-// state (the rollup subsystem's Snapshot/Restore, exported models, any
-// versioned JSON document in the mlkit/persist.go mold): the document is
-// written to a temporary file in the destination directory, synced, and
-// renamed over the target only on success, so a restarted monitor never
-// reads a torn or half-written checkpoint.
+// Package persist is the one place that knows the on-disk protocol of every
+// checkpoint-style document (rollup checkpoints, the historical store's
+// partition, pending and manifest files), in both directions.
+//
+// Writing: the document goes to a temporary file in the destination
+// directory, is synced, and is renamed over the target only on success
+// (AtomicFS), so a restarted monitor never reads a half-written file; its
+// bytes are the JSON document followed by a one-line CRC footer
+// (WriteFooted, AppendFooter). Reading: LoadFooted opens a file, verifies
+// the footer (SplitFooter) — which rejects a file cut at any byte or
+// altered anywhere — and only then decodes the JSON; ReadFooted is the same
+// step over a reader. A file that fails either check is set aside by
+// Quarantine under the first free name path.corrupt-N (N from 0), so no
+// later quarantine of the same path overwrites an earlier one's evidence.
 //
 // Every durability-relevant operation goes through the FS seam, so tests
 // can inject faults (internal/faultinject) at exactly the syscall that is
 // supposed to be crash-safe: a torn write, a failed fsync, a rename that
-// never lands, a full disk. Production callers use the package-level
-// Atomic/Load, which run against the real filesystem (OS).
+// never lands, a full disk. The helpers taking an FS treat nil as the real
+// filesystem (OS).
 package persist
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -110,12 +119,6 @@ func (osFS) SyncDir(dir string) error {
 		return serr
 	}
 	return cerr
-}
-
-// Atomic writes the document produced by write to path via a
-// write-temp-then-rename against the real filesystem. See AtomicFS.
-func Atomic(path string, write func(io.Writer) error) error {
-	return AtomicFS(OS, path, write)
 }
 
 // AtomicFS writes the document produced by write to path via a
@@ -245,18 +248,30 @@ func SplitFooter(data []byte) ([]byte, error) {
 	return doc, nil
 }
 
-// Load opens path and hands the reader to read, closing the file
-// afterwards, against the real filesystem. See LoadFS.
-func Load(path string, read func(io.Reader) error) error {
-	return LoadFS(OS, path, read)
+// ReadFooted is the read side of every footed document: it reads r to the
+// end, verifies the integrity footer, and decodes the document it covers
+// into doc (a pointer, as for json.Unmarshal). Nothing is decoded from bytes
+// the footer does not vouch for.
+func ReadFooted(r io.Reader, doc any) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("persist: reading document: %w", err)
+	}
+	body, err := SplitFooter(data)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, doc); err != nil {
+		return fmt.Errorf("persist: decoding document: %w", err)
+	}
+	return nil
 }
 
-// LoadFS opens path on fs (nil = OS) and hands the reader to read, closing
-// the file afterwards. It is the read-side counterpart of Atomic; a missing
-// file surfaces as an error matching os.IsNotExist /
-// errors.Is(err, fs.ErrNotExist) so callers can treat "no checkpoint yet"
-// as a cold start.
-func LoadFS(fs FS, path string, read func(io.Reader) error) error {
+// LoadFooted is ReadFooted over the file at path on fs (nil = OS) — the
+// read-side counterpart of AtomicFS. A missing file surfaces the Open error
+// unchanged, so it matches errors.Is(err, fs.ErrNotExist) and callers can
+// treat "no file yet" as a cold start; every other failure names the path.
+func LoadFooted(fs FS, path string, doc any) error {
 	if fs == nil {
 		fs = OS
 	}
@@ -265,8 +280,33 @@ func LoadFS(fs FS, path string, read func(io.Reader) error) error {
 		return err
 	}
 	defer f.Close()
-	if err := read(f); err != nil {
-		return fmt.Errorf("persist: reading %s: %w", path, err)
+	if err := ReadFooted(f, doc); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
+}
+
+// Quarantine renames the corrupt file at path aside to path.corrupt-N on fs
+// (nil = OS), N being the first number whose name is free, and returns the
+// new name. Numbering restarts per path and never reuses a taken name, so
+// repeated corruption of one path keeps every copy.
+func Quarantine(fs FS, path string) (to string, err error) {
+	if fs == nil {
+		fs = OS
+	}
+	for n := 0; ; n++ {
+		to = fmt.Sprintf("%s.corrupt-%d", path, n)
+		f, err := fs.Open(to)
+		if errors.Is(err, os.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return "", fmt.Errorf("persist: quarantining %s: %w", path, err)
+		}
+		f.Close()
+	}
+	if err := fs.Rename(path, to); err != nil {
+		return "", fmt.Errorf("persist: quarantining %s: %w", path, err)
+	}
+	return to, nil
 }

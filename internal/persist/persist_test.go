@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,7 @@ import (
 func TestAtomicWritesAndReplaces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
 	write := func(doc string) error {
-		return Atomic(path, func(w io.Writer) error {
+		return AtomicFS(nil, path, func(w io.Writer) error {
 			_, err := io.WriteString(w, doc)
 			return err
 		})
@@ -45,7 +46,7 @@ func TestAtomicFailureLeavesTargetIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	err := Atomic(path, func(w io.Writer) error {
+	err := AtomicFS(OS, path, func(w io.Writer) error {
 		io.WriteString(w, "partial garbage")
 		return boom
 	})
@@ -70,26 +71,113 @@ func TestAtomicFailureLeavesTargetIntact(t *testing.T) {
 	}
 }
 
-func TestLoad(t *testing.T) {
+// writeFootedFile writes doc plus its integrity footer to a new file.
+func writeFootedFile(t *testing.T, doc string) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "state.json")
-	if err := os.WriteFile(path, []byte("payload"), 0o644); err != nil {
+	if err := os.WriteFile(path, AppendFooter([]byte(doc)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var got string
-	err := Load(path, func(r io.Reader) error {
-		b, err := io.ReadAll(r)
-		got = string(b)
-		return err
-	})
-	if err != nil || got != "payload" {
-		t.Fatalf("Load = %q, %v", got, err)
+	return path
+}
+
+func TestLoadFooted(t *testing.T) {
+	type payload struct {
+		Name string `json:"name"`
 	}
-	if err := Load(filepath.Join(t.TempDir(), "missing"), func(io.Reader) error { return nil }); !os.IsNotExist(err) {
-		t.Errorf("missing file error = %v, want IsNotExist", err)
+	path := writeFootedFile(t, "{\"name\": \"payload\"}\n")
+	var got payload
+	if err := LoadFooted(nil, path, &got); err != nil || got.Name != "payload" {
+		t.Fatalf("LoadFooted = %+v, %v", got, err)
 	}
-	boom := errors.New("boom")
-	if err := Load(path, func(io.Reader) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("reader error not wrapped: %v", err)
+	if err := LoadFooted(OS, filepath.Join(t.TempDir(), "missing"), &got); !os.IsNotExist(err) || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file error = %v, want fs.ErrNotExist", err)
+	}
+	// A torn file — every proper prefix — is an error, names the file, and
+	// decodes nothing.
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got = payload{}
+		err := LoadFooted(nil, path, &got)
+		if err == nil || !strings.Contains(err.Error(), path) || got != (payload{}) {
+			t.Fatalf("file cut at %d of %d: LoadFooted = %+v, %v; want an error naming the file and nothing decoded", cut, len(whole), got, err)
+		}
+	}
+	// A footer that verifies over a document that does not decode is the
+	// decoder's error, wrapped.
+	var syntaxErr *json.SyntaxError
+	if err := LoadFooted(nil, writeFootedFile(t, "not json\n"), &got); !errors.As(err, &syntaxErr) {
+		t.Errorf("undecodable document: %v, want a wrapped *json.SyntaxError", err)
+	}
+	if err := ReadFooted(strings.NewReader(string(whole)), &got); err != nil || got.Name != "payload" {
+		t.Errorf("ReadFooted = %+v, %v", got, err)
+	}
+}
+
+// handleFS counts the read handles opened through it and closed again.
+type handleFS struct {
+	FS
+	opened, closed int
+}
+
+type countedHandle struct {
+	io.ReadCloser
+	fs *handleFS
+}
+
+func (h *handleFS) Open(name string) (io.ReadCloser, error) {
+	f, err := h.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	h.opened++
+	return countedHandle{f, h}, nil
+}
+
+func (c countedHandle) Close() error {
+	c.fs.closed++
+	return c.ReadCloser.Close()
+}
+
+// TestQuarantine pins the naming: first free path.corrupt-N, nothing ever
+// overwritten, the new name returned, a missing source an error — and every
+// taken name the probe steps over has its handle closed.
+func TestQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	hfs := &handleFS{FS: OS}
+	path := filepath.Join(dir, "state.json")
+	for n, doc := range []string{"first", "second", "third"} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 { // a gap in the numbering is filled, not skipped
+			if err := os.Remove(path + ".corrupt-0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		to, err := Quarantine(hfs, path)
+		want := path + []string{".corrupt-0", ".corrupt-0", ".corrupt-1"}[n]
+		if err != nil || to != want {
+			t.Fatalf("quarantine %d: %q, %v; want %q", n, to, err, want)
+		}
+		if got, err := os.ReadFile(to); err != nil || string(got) != doc {
+			t.Fatalf("quarantine %d: %s holds %q (%v), want %q", n, to, got, err, doc)
+		}
+	}
+	if got, err := os.ReadFile(path + ".corrupt-0"); err != nil || string(got) != "second" {
+		t.Errorf("corrupt-0 holds %q (%v) after a later quarantine, want it untouched", got, err)
+	}
+	if hfs.opened != 1 || hfs.closed != hfs.opened {
+		t.Errorf("probing opened %d existing quarantine files and closed %d, want 1 and 1", hfs.opened, hfs.closed)
+	}
+	if _, err := Quarantine(nil, path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("quarantining a missing file: %v, want fs.ErrNotExist", err)
 	}
 }
 

@@ -30,19 +30,21 @@
 // document tree, nothing is reflected over. The bytes are exactly those
 // encoding/json wrote for checkpointJSON (format gamelens-rollup-v3 did not
 // move; the differential tests and FuzzRestoreReencode hold the encoder to
-// the reflection one, which survives in encode_test.go); the structs below
-// stay because Restore still decodes through them. One case cannot be
+// the reflection one, which survives in encode_test.go). One case cannot be
 // written in place: the same address resident in two views (subscribers are
 // hash-routed to one shard, but Shard(i).Observe can bypass the routing),
 // whose buckets must be summed first. The sorted walk sees the duplicate
 // before anything is encoded, and that snapshot alone goes through the
 // Merged() fold — a choice made from the data, not a setting.
+//
+// Reading is persist's footed-file reader (ReadFooted for Restore's stream,
+// LoadFooted for LoadFile and the recovery scan) decoding into checkpointJSON,
+// then checkpointJSON.restore validating every field before a window exists.
 
 package rollup
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -230,30 +232,37 @@ func liveSlots(slots []int, ring []bucket, oldest int, horizon int64) []int {
 	return slots
 }
 
+// maxRestoreBuckets (4096) bounds the ring resolution Restore accepts. Every
+// restored subscriber gets a ring of the document's bucket count, so without
+// a bound a few bytes of "buckets" could ask for terabytes; with it (and with
+// every subscriber required to carry at least one bucket) the memory a
+// document can claim is a fixed multiple of its own size. 4096 buckets is a
+// day at 21-second resolution — far past any dashboard geometry.
+const maxRestoreBuckets = 1 << 12
+
 // Restore rebuilds a rollup from a checkpoint written by Snapshot. The
-// window geometry (span and bucket count) comes from the document, so the
-// restored rollup continues with exactly the configuration that produced
-// the checkpoint. The integrity footer is verified before anything is
-// decoded, so a checkpoint truncated at any byte boundary — or corrupted
-// anywhere in between — is rejected rather than mis-restored.
+// window geometry (span and bucket count, the latter at most 4096 —
+// maxRestoreBuckets) comes from the document, so the restored rollup
+// continues with exactly the configuration that produced the checkpoint. The
+// integrity footer is verified before anything is decoded (persist.ReadFooted),
+// so a checkpoint truncated at any byte boundary — or corrupted anywhere in
+// between — is rejected rather than mis-restored.
 func Restore(rd io.Reader) (*Rollup, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("rollup: reading checkpoint: %w", err)
-	}
-	docBytes, err := persist.SplitFooter(data)
-	if err != nil {
+	var doc checkpointJSON
+	if err := persist.ReadFooted(rd, &doc); err != nil {
 		return nil, fmt.Errorf("rollup: checkpoint: %w", err)
 	}
-	var doc checkpointJSON
-	if err := json.Unmarshal(docBytes, &doc); err != nil {
-		return nil, fmt.Errorf("rollup: decoding checkpoint: %w", err)
-	}
+	return doc.restore()
+}
+
+// restore validates the decoded document and builds the window it describes.
+func (doc *checkpointJSON) restore() (*Rollup, error) {
 	if doc.Format != checkpointFormat {
 		return nil, fmt.Errorf("rollup: unknown checkpoint format %q", doc.Format)
 	}
-	if doc.WindowNs <= 0 || doc.Buckets <= 0 {
-		return nil, fmt.Errorf("rollup: checkpoint with window %dns, %d buckets", doc.WindowNs, doc.Buckets)
+	if doc.WindowNs <= 0 || doc.Buckets <= 0 || doc.Buckets > maxRestoreBuckets {
+		return nil, fmt.Errorf("rollup: checkpoint with window %dns, %d buckets (at most %d restore)",
+			doc.WindowNs, doc.Buckets, maxRestoreBuckets)
 	}
 	r := New(Config{Window: time.Duration(doc.WindowNs), Buckets: doc.Buckets})
 	r.ingested = doc.Ingested
@@ -270,6 +279,11 @@ func Restore(rd io.Reader) (*Rollup, error) {
 		addr, err := netip.ParseAddr(sj.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("rollup: checkpoint subscriber %q: %w", sj.Addr, err)
+		}
+		if len(sj.Buckets) == 0 {
+			// Snapshot prunes such a subscriber; accepting one would buy a
+			// whole ring for a dozen bytes of document.
+			return nil, fmt.Errorf("rollup: subscriber %s has no buckets", sj.Addr)
 		}
 		sub := newSubscriber(doc.Buckets)
 		for _, bj := range sj.Buckets {
@@ -329,24 +343,21 @@ func ValidateCounts(c *Counts) error {
 // the persist helper), so a crash mid-checkpoint leaves the previous
 // checkpoint intact.
 func (r *Rollup) SaveFile(path string) error {
-	return persist.Atomic(path, r.Snapshot)
+	return persist.AtomicFS(nil, path, r.Snapshot)
 }
 
-// LoadFile restores a rollup from a checkpoint file written by SaveFile. A
-// missing file surfaces the os.Open error unchanged so callers can treat it
-// as a cold start.
-func LoadFile(path string) (*Rollup, error) {
-	return LoadFileFS(persist.OS, path)
-}
-
-// LoadFileFS is LoadFile against an explicit persist filesystem (nil = the
-// real one) — the seam fault-injection tests and the recovery scan use.
-func LoadFileFS(fs persist.FS, path string) (*Rollup, error) {
-	var r *Rollup
-	err := persist.LoadFS(fs, path, func(rd io.Reader) error {
-		var err error
-		r, err = Restore(rd)
-		return err
-	})
-	return r, err
+// LoadFile restores a rollup from a checkpoint file written by SaveFile (or
+// a Checkpointer) on fs (nil = the real filesystem; the seam fault-injection
+// tests and the recovery scan use). A missing file surfaces the Open error
+// unchanged so callers can treat it as a cold start.
+func LoadFile(fs persist.FS, path string) (*Rollup, error) {
+	var doc checkpointJSON
+	if err := persist.LoadFooted(fs, path, &doc); err != nil {
+		return nil, err
+	}
+	r, err := doc.restore()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
 }

@@ -132,9 +132,21 @@ func NewCheckpointer(src Window, cfg CheckpointerConfig) *Checkpointer {
 	}
 }
 
-// genPath names generation gen's file.
-func (cp *Checkpointer) genPath(gen uint64) string {
-	return fmt.Sprintf("%s.gen-%d", cp.cfg.Path, gen)
+// genPath names generation gen's file next to the base checkpoint path.
+func genPath(path string, gen uint64) string {
+	return fmt.Sprintf("%s.gen-%d", path, gen)
+}
+
+// parseGenSuffix inverts genPath on what follows the base name: ".gen-N",
+// N a positive decimal. Anything else — a quarantined generation
+// (".gen-N.corrupt-K") included — is not a generation.
+func parseGenSuffix(suffix string) (gen uint64, ok bool) {
+	digits, ok := strings.CutPrefix(suffix, ".gen-")
+	if !ok {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(digits, 10, 64)
+	return gen, err == nil && gen != 0
 }
 
 // Tick checkpoints src if its packet clock has rotated EveryBuckets
@@ -170,7 +182,7 @@ func (cp *Checkpointer) Tick() (wrote bool, err error) {
 	}
 	cp.lastIdx = idx
 	gen := cp.nextGen
-	if err := cp.writeRetry(cp.genPath(gen)); err != nil {
+	if err := cp.writeRetry(genPath(cp.cfg.Path, gen)); err != nil {
 		cp.failures++
 		return false, errors.Join(archErr, fmt.Errorf("rollup: checkpoint generation %d: %w", gen, err))
 	}
@@ -235,7 +247,7 @@ func (cp *Checkpointer) gc(newest uint64) {
 	if newest <= uint64(cp.cfg.Keep) {
 		return
 	}
-	cp.cfg.FS.Remove(cp.genPath(newest - uint64(cp.cfg.Keep)))
+	cp.cfg.FS.Remove(genPath(cp.cfg.Path, newest-uint64(cp.cfg.Keep)))
 }
 
 // RecoverInfo describes what a recovery scan found.
@@ -251,7 +263,8 @@ type RecoverInfo struct {
 	// overwrite files an operator may still want to inspect.
 	NextGen uint64
 	// Quarantined lists the corrupt candidates the scan renamed aside
-	// (their new .corrupt-N paths).
+	// (their new paths: FILE.corrupt-K, FILE being the base path or a
+	// path.gen-N generation file).
 	Quarantined []string
 }
 
@@ -265,96 +278,84 @@ var errAllCorrupt = errors.New("rollup: every checkpoint candidate was corrupt (
 // generation first, the base checkpoint considered alongside by its
 // packet-clock instant (an end-of-run Final at the base path is newer than
 // the last periodic generation). Corrupt candidates — torn writes, bit
-// rot, anything Restore rejects — are quarantined by renaming them to
-// path.corrupt-N (the base file to path.corrupt-0) and the scan falls back
-// to the previous generation, so a monitor restarting over a damaged
-// checkpoint directory degrades to an older recovery point instead of
-// crash-looping. A nil rollup with a nil error is a cold start: nothing to
-// recover. If candidates existed but none was valid, the error wraps
-// errAllCorrupt — resuming silently with an empty window would hide the
-// loss.
+// rot, anything LoadFile rejects — are quarantined by persist.Quarantine
+// under their own name (path.gen-N.corrupt-K, path.corrupt-K: first free K,
+// so a second corrupt base never overwrites the first one's evidence) and
+// the scan falls back to the previous generation, so a monitor restarting
+// over a damaged checkpoint directory degrades to an older recovery point
+// instead of crash-looping. Temp files a crash mid-checkpoint left behind
+// under the scan's own names (path.tmp-*, path.gen-N.tmp-*) were never
+// renamed into place and are removed. A nil rollup with a nil error is a
+// cold start: nothing to recover. If candidates existed but none was valid,
+// the error wraps errAllCorrupt — resuming silently with an empty window
+// would hide the loss.
 func Recover(pfs persist.FS, path string) (*Rollup, RecoverInfo, error) {
 	if pfs == nil {
 		pfs = persist.OS
 	}
 	info := RecoverInfo{NextGen: 1}
-	names, err := pfs.ReadDir(filepath.Dir(path))
+	dir := filepath.Dir(path)
+	names, err := pfs.ReadDir(dir)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, info, fmt.Errorf("rollup: scanning checkpoint directory: %w", err)
 	}
 	// persist.FS.ReadDir does not promise sorted names (os.ReadDir happens
-	// to sort; an injected FS may not), and the newest-first scan below must
-	// visit candidates — and number quarantines — identically on every
-	// filesystem.
+	// to sort; an injected FS may not), and the scan below must reap and
+	// visit candidates identically on every filesystem.
 	sort.Strings(names)
 	base := filepath.Base(path)
 	var gens []uint64
 	for _, name := range names {
-		rest, ok := strings.CutPrefix(name, base+".gen-")
+		suffix, ok := strings.CutPrefix(name, base)
 		if !ok {
 			continue
 		}
-		gen, err := strconv.ParseUint(rest, 10, 64)
-		if err != nil || gen == 0 {
+		if owner, _, isTemp := strings.Cut(suffix, ".tmp-"); isTemp {
+			if _, ofGen := parseGenSuffix(owner); ofGen || owner == "" {
+				pfs.Remove(filepath.Join(dir, name)) // best effort; the next scan retries
+			}
 			continue
 		}
-		gens = append(gens, gen)
-		if gen >= info.NextGen {
-			info.NextGen = gen + 1
+		if gen, ok := parseGenSuffix(suffix); ok {
+			gens = append(gens, gen)
+			if gen >= info.NextGen {
+				info.NextGen = gen + 1
+			}
 		}
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 
-	candidates := 0
-	quarantine := func(from string, gen uint64) {
-		to := fmt.Sprintf("%s.corrupt-%d", path, gen)
-		if err := pfs.Rename(from, to); err == nil {
-			info.Quarantined = append(info.Quarantined, to)
-		}
-	}
-
+	// Candidates in visiting order: generations newest first, then the base
+	// checkpoint (generation 0), which competes by packet clock — Final
+	// writes it after the last generation, but a crash before Final leaves
+	// it one run stale.
 	var best *Rollup
-	var bestInfo RecoverInfo
-	for _, gen := range gens {
-		gp := cpGenPath(path, gen)
-		r, err := LoadFileFS(pfs, gp)
+	candidates := 0
+	for _, gen := range append(gens, 0) {
+		if best != nil && gen != 0 {
+			continue // older than the generation already restored
+		}
+		file := path
+		if gen != 0 {
+			file = genPath(path, gen)
+		}
+		r, err := LoadFile(pfs, file)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // raced away (gc, operator), or no base yet; not a candidate
+		}
+		candidates++
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue // raced away (gc, operator); not a candidate
+			if to, qerr := persist.Quarantine(pfs, file); qerr == nil {
+				info.Quarantined = append(info.Quarantined, to)
 			}
-			candidates++
-			quarantine(gp, gen)
 			continue
 		}
-		candidates++
-		best, bestInfo.Path, bestInfo.Generation = r, gp, gen
-		break
-	}
-	// The base checkpoint competes by packet clock: Final writes it after
-	// the last generation, but a crash before Final leaves it one run
-	// stale.
-	if br, err := LoadFileFS(pfs, path); err == nil {
-		candidates++
-		if best == nil || br.Clock().After(best.Clock()) {
-			best, bestInfo.Path, bestInfo.Generation = br, path, 0
+		if best == nil || r.Clock().After(best.Clock()) {
+			best, info.Path, info.Generation = r, file, gen
 		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		candidates++
-		quarantine(path, 0)
 	}
-
-	if best == nil {
-		if candidates > 0 {
-			return nil, info, fmt.Errorf("%w: %s", errAllCorrupt, strings.Join(info.Quarantined, ", "))
-		}
-		return nil, info, nil
+	if best == nil && candidates > 0 {
+		return nil, info, fmt.Errorf("%w: %s", errAllCorrupt, strings.Join(info.Quarantined, ", "))
 	}
-	info.Path, info.Generation = bestInfo.Path, bestInfo.Generation
 	return best, info, nil
-}
-
-// cpGenPath is genPath for callers without a Checkpointer (the recovery
-// scan); keep the two formats identical.
-func cpGenPath(path string, gen uint64) string {
-	return fmt.Sprintf("%s.gen-%d", path, gen)
 }

@@ -214,6 +214,55 @@ func TestCheckpointRecoverPicksNewestValid(t *testing.T) {
 			t.Errorf("corrupt base still in place (err=%v)", err)
 		}
 	})
+
+	// Quarantine keeps every copy: a base checkpoint that is corrupt on two
+	// successive restarts leaves two files, not the second over the first.
+	t.Run("successive corrupt bases both survive", func(t *testing.T) {
+		base := filepath.Join(t.TempDir(), "rollup.ckpt")
+		for n, junk := range []string{"first crash", "second crash"} {
+			if err := os.WriteFile(base, []byte(junk), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, info, err := Recover(nil, base)
+			want := fmt.Sprintf("%s.corrupt-%d", base, n)
+			if !errors.Is(err, errAllCorrupt) || len(info.Quarantined) != 1 || info.Quarantined[0] != want {
+				t.Fatalf("restart %d: err = %v, quarantined %v; want errAllCorrupt and [%s]", n, err, info.Quarantined, want)
+			}
+			if info.NextGen != 1 {
+				t.Errorf("restart %d: NextGen = %d; quarantined names are not generations", n, info.NextGen)
+			}
+		}
+		for n, junk := range []string{"first crash", "second crash"} {
+			got, err := os.ReadFile(fmt.Sprintf("%s.corrupt-%d", base, n))
+			if err != nil || string(got) != junk {
+				t.Errorf("corrupt-%d holds %q (%v), want %q", n, got, err, junk)
+			}
+		}
+	})
+
+	// A crash between CreateTemp and Rename leaves persist's temp file; the
+	// scan removes the ones under its own names and nothing else.
+	t.Run("reaps its own temp leftovers only", func(t *testing.T) {
+		dir := t.TempDir()
+		base := filepath.Join(dir, "rollup.ckpt")
+		writeAt(t, base+".gen-3", 2)
+		for _, name := range []string{"rollup.ckpt.tmp-11", "rollup.ckpt.gen-4.tmp-22", "other.tmp-1", "rollup.ckpt.gen-x.tmp-1"} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("half a checkpoint"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, info, err := Recover(nil, base)
+		if err != nil || info.Generation != 3 || info.NextGen != 4 || len(info.Quarantined) != 0 {
+			t.Fatalf("Recover: %+v, %v; want generation 3, next 4, nothing quarantined", info, err)
+		}
+		names, err := persist.OS.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"other.tmp-1", "rollup.ckpt.gen-3", "rollup.ckpt.gen-x.tmp-1"}; fmt.Sprint(names) != fmt.Sprint(want) {
+			t.Errorf("directory holds %v after the scan, want %v", names, want)
+		}
+	})
 }
 
 // TestCheckpointTornRejectionSweep truncates a valid checkpoint at every
@@ -251,7 +300,7 @@ func TestCheckpointTornRejectionSweep(t *testing.T) {
 		if info.Generation != 1 {
 			t.Fatalf("cut=%d: recovered generation %d, want fallback to 1", cut, info.Generation)
 		}
-		if len(info.Quarantined) != 1 || !strings.HasSuffix(info.Quarantined[0], ".corrupt-2") {
+		if len(info.Quarantined) != 1 || info.Quarantined[0] != base+".gen-2.corrupt-0" {
 			t.Fatalf("cut=%d: quarantined %v, want the torn gen-2", cut, info.Quarantined)
 		}
 		// NextGen skips past the torn generation: nothing overwrites a file
@@ -289,7 +338,7 @@ func TestFaultGateENOSPCRetryThenSucceed(t *testing.T) {
 	if n := fs.Count(faultinject.OpSync); n < 2 {
 		t.Errorf("saw %d sync attempts, want the failed one plus the retry", n)
 	}
-	if _, err := LoadFileFS(fs, base+".gen-1"); err != nil {
+	if _, err := LoadFile(fs, base+".gen-1"); err != nil {
 		t.Errorf("retried checkpoint does not restore: %v", err)
 	}
 

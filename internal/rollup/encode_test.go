@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"os"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -445,14 +446,6 @@ func FuzzRestoreReencode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		// Restore sizes every ring from the document's bucket count without
-		// a bound; keep the fuzzer from asking for a terabyte.
-		var geometry struct {
-			Buckets int `json:"buckets"`
-		}
-		if json.Unmarshal(doc, &geometry) != nil || geometry.Buckets > 1<<12 {
-			t.Skip()
-		}
 		r, err := Restore(bytes.NewReader(persist.AppendFooter(bytes.Clone(doc))))
 		if err != nil {
 			t.Skip()
@@ -511,17 +504,14 @@ func TestCellCodecMatchesReflection(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnboundedGeometry pins that Snapshot sizes nothing from the
-// bucket count: Restore accepts any positive count (a ring is only built per
-// subscriber), and a subscriber-less window of a trillion buckets must
-// checkpoint as cheaply as it restored.
+// TestSnapshotUnboundedGeometry pins both halves of the bucket-count story.
+// Snapshot sizes nothing from it: a subscriber-less window of a trillion
+// buckets, built with New, checkpoints as cheaply as any other. Restore sizes
+// a ring per subscriber from it, so it refuses that document — and the
+// smallest count past its bound — before building anything.
 func TestSnapshotUnboundedGeometry(t *testing.T) {
-	doc := footered(`{"format":"gamelens-rollup-v3","window_ns":3600000000000000,"buckets":1099511627776,` +
-		`"clock":"2026-07-01T12:00:00Z","ingested":7,"late":2,"subscribers":[]}`)
-	r, err := Restore(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{Window: 1000 * time.Hour, Buckets: 1 << 40})
+	r.Advance(time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC))
 	var got, want bytes.Buffer
 	if err := r.Snapshot(&got); err != nil {
 		t.Fatal(err)
@@ -531,5 +521,43 @@ func TestSnapshotUnboundedGeometry(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("snapshot differs from the reference: %s", firstDiff(got.Bytes(), want.Bytes()))
+	}
+	if _, err := Restore(bytes.NewReader(got.Bytes())); err == nil {
+		t.Error("Restore accepted a trillion-bucket checkpoint")
+	}
+	for buckets, ok := range map[int]bool{maxRestoreBuckets: true, maxRestoreBuckets + 1: false} {
+		got.Reset()
+		if err := New(Config{Window: time.Hour, Buckets: buckets}).Snapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(bytes.NewReader(got.Bytes())); (err == nil) != ok {
+			t.Errorf("Restore of a %d-bucket checkpoint: err = %v, want accepted = %v", buckets, err, ok)
+		}
+	}
+}
+
+// TestParentCheckpointFixture loads a checkpoint written by the commit before
+// persist took over the read side (testdata/parent-pr14.ckpt: 5 subscribers,
+// v4, v6 and zoned, late entries) and requires the re-snapshot to be the same
+// bytes: the format did not move.
+func TestParentCheckpointFixture(t *testing.T) {
+	const path = "testdata/parent-pr14.ckpt"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := LoadFile(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Subscribers != 5 || st.Ingested != 11 || st.Late != 3 {
+		t.Fatalf("fixture restored as %+v", st)
+	}
+	var got bytes.Buffer
+	if err := r.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("re-snapshot of the parent's checkpoint differs: %s", firstDiff(got.Bytes(), want))
 	}
 }

@@ -72,7 +72,8 @@ type Config struct {
 	Window time.Duration
 	// Buckets is the ring resolution (default 12): the window is divided
 	// into this many fixed-width buckets, and aggregates slide forward one
-	// bucket at a time as the packet clock advances.
+	// bucket at a time as the packet clock advances. A checkpoint restores
+	// only up to 4096 buckets (see Restore).
 	Buckets int
 }
 
@@ -522,13 +523,6 @@ func (r *Rollup) Clock() time.Time {
 	return time.Unix(0, r.clockNs)
 }
 
-// Sink adapts the rollup to the pipeline/engine report stream: the returned
-// ReportSink feeds every report into the window. It composes with any other
-// sink the caller chains it with.
-func (r *Rollup) Sink() core.ReportSink {
-	return func(rep *core.SessionReport) { r.Observe(FromReport(rep)) }
-}
-
 // FloorDiv is integer division rounding toward negative infinity, so bucket
 // numbering is monotonic across the epoch.
 func FloorDiv(a, b int64) int64 {
@@ -601,24 +595,36 @@ func (r *Rollup) observeLocked(e Entry) {
 	}
 	end := e.End.UnixNano()
 	r.advanceLocked(end)
-	idx := FloorDiv(end, r.wNs)
-	if idx <= FloorDiv(r.clockNs, r.wNs)-int64(r.cfg.Buckets) {
+	b := r.slotLocked(e.Subscriber, FloorDiv(end, r.wNs))
+	if b == nil {
 		r.late++
 		return
 	}
-	sub := r.subs[e.Subscriber]
+	b.counts.Add(e)
+	r.ingested++
+}
+
+// slotLocked returns the ring slot holding bucket idx of addr's window,
+// creating the subscriber on first sight and rotating the slot forward when
+// it still holds an older bucket — or nil when idx is late: already slid out
+// of the window, or behind what its slot has rotated to (possible only
+// through out-of-order arrivals more than a window apart). It is the one
+// placement rule Observe and InjectCounts share; the caller holds r.mu and
+// has advanced the clock.
+func (r *Rollup) slotLocked(addr netip.Addr, idx int64) *bucket {
+	if !r.liveLocked(idx) {
+		return nil
+	}
+	sub := r.subs[addr]
 	if sub == nil {
 		//gamelens:alloc-ok per-subscriber cold edge, once per new subscriber
 		sub = newSubscriber(r.cfg.Buckets)
-		r.subs[e.Subscriber] = sub
+		r.subs[addr] = sub
 	}
 	b := &sub.ring[r.pos(idx)]
 	if b.idx != idx {
 		if b.idx > idx {
-			// The slot has rotated past this bucket already (possible only
-			// through out-of-order entries more than a window apart).
-			r.late++
-			return
+			return nil
 		}
 		// Rotate the slot in place: keep the old bucket's maps and sketch
 		// buffers (reset, not reallocated), so steady-state rotation is
@@ -626,8 +632,7 @@ func (r *Rollup) observeLocked(e Entry) {
 		b.idx = idx
 		b.counts.reset()
 	}
-	b.counts.Add(e)
-	r.ingested++
+	return b
 }
 
 // InjectCounts folds a pre-aggregated cell into the bucket containing at —
@@ -650,24 +655,10 @@ func (r *Rollup) InjectCounts(at time.Time, addr netip.Addr, c *Counts) {
 	}
 	ns := at.UnixNano()
 	r.advanceLocked(ns)
-	idx := FloorDiv(ns, r.wNs)
-	if !r.liveLocked(idx) {
+	b := r.slotLocked(addr, FloorDiv(ns, r.wNs))
+	if b == nil {
 		r.late += c.Sessions
 		return
-	}
-	sub := r.subs[addr]
-	if sub == nil {
-		sub = newSubscriber(r.cfg.Buckets)
-		r.subs[addr] = sub
-	}
-	b := &sub.ring[r.pos(idx)]
-	if b.idx != idx {
-		if b.idx > idx {
-			r.late += c.Sessions
-			return
-		}
-		b.idx = idx
-		b.counts.reset()
 	}
 	b.counts.Merge(c)
 	r.ingested += c.Sessions

@@ -268,14 +268,14 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err := r.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadFile(path)
+	restored, err := LoadFile(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := restored.Total().Sessions; got != 1 {
 		t.Errorf("restored sessions = %d, want 1", got)
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.ckpt")); !os.IsNotExist(err) {
+	if _, err := LoadFile(nil, filepath.Join(t.TempDir(), "missing.ckpt")); !os.IsNotExist(err) {
 		t.Errorf("missing checkpoint error = %v, want IsNotExist", err)
 	}
 }
@@ -324,11 +324,13 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	okDoc := `{"format":"gamelens-rollup-v3","window_ns":3600000000000,"buckets":6,"clock":"2026-07-01T06:00:00Z","ingested":1,` +
 		`"subscribers":[{"addr":"10.0.0.1","buckets":[{"idx":82782,"counts":{"sessions":1,"stage_minutes":[0,0,0,0],"mbps_sum":0,"objective":[0,1,0],"effective":[0,1,0],` + sketches + `}}]}]}`
 	for name, doc := range map[string]string{
-		"not json":      footered("patently not json"),
-		"wrong format":  footered(`{"format":"gamelens-forest-v1","window_ns":1,"buckets":1}`),
-		"v2 checkpoint": footered(`{"format":"gamelens-rollup-v2","window_ns":3600000000000,"buckets":6,"subscribers":[]}`),
-		"bad geometry":  footered(`{"format":"gamelens-rollup-v3","window_ns":0,"buckets":0}`),
-		"bad addr":      footered(`{"format":"gamelens-rollup-v3","window_ns":3600000000000,"buckets":6,"subscribers":[{"addr":"nope","buckets":[]}]}`),
+		"not json":         footered("patently not json"),
+		"wrong format":     footered(`{"format":"gamelens-forest-v1","window_ns":1,"buckets":1}`),
+		"v2 checkpoint":    footered(`{"format":"gamelens-rollup-v2","window_ns":3600000000000,"buckets":6,"subscribers":[]}`),
+		"bad geometry":     footered(`{"format":"gamelens-rollup-v3","window_ns":0,"buckets":0}`),
+		"too many buckets": footered(`{"format":"gamelens-rollup-v3","window_ns":3600000000000,"buckets":4097,"subscribers":[]}`),
+		"no buckets":       footered(`{"format":"gamelens-rollup-v3","window_ns":3600000000000,"buckets":6,"subscribers":[{"addr":"10.0.0.1","buckets":[]}]}`),
+		"bad addr":         footered(`{"format":"gamelens-rollup-v3","window_ns":3600000000000,"buckets":6,"subscribers":[{"addr":"nope","buckets":[]}]}`),
 		"dup slot": footered(`{"format":"gamelens-rollup-v3","window_ns":3600000000000,"buckets":6,` +
 			`"subscribers":[{"addr":"10.0.0.1","buckets":[{"idx":1,"counts":{"sessions":1,` + sketches + `}},{"idx":7,"counts":{"sessions":1,` + sketches + `}}]}]}`),
 		"sentinel idx": footered(`{"format":"gamelens-rollup-v3","window_ns":3600000000000,"buckets":6,` +

@@ -32,11 +32,11 @@ import (
 	"gamelens/internal/core"
 )
 
-// Sharded fans entries out across shard-local Rollups. Observe, Sink,
-// Advance, Stats, Merged, and Snapshot are safe for concurrent use (each
-// shard carries its own lock); ObserveReports and BatchSink reuse a
-// per-instance scratch and are single-goroutine — the engine's emitter,
-// their intended caller, already is one.
+// Sharded fans entries out across shard-local Rollups. Observe, Advance,
+// Stats, Merged, and Snapshot are safe for concurrent use (each shard
+// carries its own lock); ObserveReports reuses a per-instance scratch and is
+// single-goroutine — the engine's emitter, its intended caller, already is
+// one.
 type Sharded struct {
 	shards  []*Rollup
 	scratch [][]Entry
@@ -111,7 +111,8 @@ func (s *Sharded) Observe(e Entry) {
 
 // ObserveReports distills one batch of session reports and folds each
 // shard's share under a single lock acquisition (Rollup.ObserveBatch) —
-// the engine BatchSink fast path. The reports are only read, never
+// the engine BatchSink fast path (pass the method value:
+// engine.Config{BatchSink: s.ObserveReports}). The reports are only read, never
 // retained, so it composes with the engine's recycle mode. Steady state
 // allocates nothing: the per-shard entry scratch is reused across calls.
 // Single-goroutine (see the type comment).
@@ -127,18 +128,6 @@ func (s *Sharded) ObserveReports(reports []*core.SessionReport) {
 	for i, entries := range s.scratch {
 		s.shards[i].ObserveBatch(entries)
 	}
-}
-
-// BatchSink adapts the sharded rollup to engine.Config.BatchSink.
-func (s *Sharded) BatchSink() func([]*core.SessionReport) {
-	return s.ObserveReports
-}
-
-// Sink adapts the sharded rollup to a per-report stream
-// (core.ReportSink), for callers not running the batch path. Safe for
-// concurrent use, unlike ObserveReports.
-func (s *Sharded) Sink() core.ReportSink {
-	return func(rep *core.SessionReport) { s.Observe(FromReport(rep)) }
 }
 
 // Advance pushes every shard's window clock to now — one engine tick ages

@@ -92,7 +92,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 
 // TestShardedObserveReports pins the engine BatchSink adapter: distilling
 // report batches through ObserveReports must land the same merged state as
-// streaming every report through a single rollup's Sink.
+// streaming every report through a single rollup's Observe.
 func TestShardedObserveReports(t *testing.T) {
 	cfg := Config{Window: 4 * time.Hour, Buckets: 8}
 	var reports []*core.SessionReport
@@ -107,9 +107,8 @@ func TestShardedObserveReports(t *testing.T) {
 		reports = append(reports, r)
 	}
 	single := New(cfg)
-	sink := single.Sink()
 	for _, r := range reports {
-		sink(r)
+		single.Observe(FromReport(r))
 	}
 	want := snapshotOf(t, single)
 

@@ -26,9 +26,10 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"gamelens/internal/rollup"
 )
@@ -40,19 +41,12 @@ func (s *Store) sealDueLocked(force bool) error {
 		return nil
 	}
 	hourNs := s.spansNs[TierHour]
-	starts := make([]int64, 0, len(s.pending))
-	//gamelens:sorted keys are collected here and sorted just below
-	for start := range s.pending {
-		starts = append(starts, start)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	sealedAny := false
-	for _, start := range starts {
+	for _, start := range sortedKeys(s.pending, cmp.Compare[int64]) {
 		if start+hourNs+int64(s.cfg.Linger) > s.clockNs {
 			break // this and every later partition is still open
 		}
-		p := &partData{tier: TierHour, startNs: start, cells: sortedCells(s.pending[start].subs)}
-		if err := s.writePartition(p); err != nil {
+		if err := s.writePartition(TierHour, start, sortedCells(s.pending[start].subs)); err != nil {
 			s.sealFailures++
 			s.sealRetryNs = s.clockNs + hourNs
 			return fmt.Errorf("store: sealing %s: %w", partName(TierHour, start), err)
@@ -82,17 +76,11 @@ func (s *Store) compactLocked() error {
 		fine := coarse - 1
 		spanNs := s.spansNs[coarse]
 		periods := map[int64]bool{}
-		//gamelens:sorted keys are collected here and sorted just below
+		//gamelens:sorted a set of period starts; visited in sorted order just below
 		for start := range s.parts[fine] {
 			periods[rollup.FloorDiv(start, spanNs)*spanNs] = true
 		}
-		starts := make([]int64, 0, len(periods))
-		//gamelens:sorted keys are collected here and sorted just below
-		for p := range periods {
-			starts = append(starts, p)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		for _, period := range starts {
+		for _, period := range sortedKeys(periods, cmp.Compare[int64]) {
 			if _, done := s.parts[coarse][period]; done {
 				continue
 			}
@@ -144,34 +132,39 @@ func (s *Store) periodSettledLocked(fine Tier, period, spanNs int64) bool {
 // in partition start order, cell-wise per subscriber — and writes the
 // coarse result.
 func (s *Store) compactPeriodLocked(fine, coarse Tier, period, spanNs int64) error {
-	sources := make([]int64, 0, 8)
-	//gamelens:sorted keys are collected here and sorted just below
-	for start := range s.parts[fine] {
+	var sources [][]rollup.Aggregate
+	for _, start := range sortedKeys(s.parts[fine], cmp.Compare[int64]) {
 		if start >= period && start < period+spanNs {
-			sources = append(sources, start)
+			sources = append(sources, s.parts[fine][start].Subs)
 		}
 	}
 	if len(sources) == 0 {
 		return nil // an empty period compacts to nothing
 	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	merged := map[netip.Addr]*rollup.Counts{}
-	for _, start := range sources {
-		for i := range s.parts[fine][start].cells {
-			c := &s.parts[fine][start].cells[i]
-			acc := merged[c.addr]
-			if acc == nil {
-				acc = &rollup.Counts{}
-				merged[c.addr] = acc
-			}
-			acc.Merge(&c.counts)
-		}
-	}
-	p := &partData{tier: coarse, startNs: period, cells: sortedCells(merged)}
-	if err := s.writePartition(p); err != nil {
+	if err := s.writePartition(coarse, period, foldCells(sources)); err != nil {
 		return fmt.Errorf("store: compacting %s: %w", partName(coarse, period), err)
 	}
 	return nil
+}
+
+// foldCells merges runs of cells — each sorted by address, the runs in the
+// order given (callers pass time order, so every float sum adds up in one
+// reproducible order) — cell-wise per subscriber, and returns the sums
+// sorted by address. The results own their maps and sketches; the inputs are
+// only read.
+func foldCells(runs [][]rollup.Aggregate) []rollup.Aggregate {
+	merged := map[netip.Addr]*rollup.Counts{}
+	for _, cells := range runs {
+		for i := range cells {
+			acc := merged[cells[i].Subscriber]
+			if acc == nil {
+				acc = &rollup.Counts{}
+				merged[cells[i].Subscriber] = acc
+			}
+			acc.Merge(&cells[i].Window)
+		}
+	}
+	return sortedCells(merged)
 }
 
 // gcLocked advances the per-tier watermarks past expired, successor-
@@ -199,17 +192,12 @@ func (s *Store) gcLocked() error {
 		if s.gc[fine] != watermarkUnset && bound <= s.gc[fine] {
 			continue
 		}
-		starts := make([]int64, 0, 8)
-		//gamelens:sorted keys are collected here and sorted just below
-		for start := range s.parts[fine] {
-			if start < bound {
-				starts = append(starts, start)
-			}
-		}
+		starts := sortedKeys(s.parts[fine], cmp.Compare[int64])
+		below, _ := slices.BinarySearch(starts, bound)
+		starts = starts[:below]
 		if len(starts) == 0 {
 			continue // nothing to reclaim; don't churn the manifest
 		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 		// Never advance past a partition whose compacted successor is
 		// not durable: clamp the watermark down to that period's start.
 		if fine < TierWeek {

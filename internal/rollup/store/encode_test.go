@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -15,26 +17,43 @@ import (
 	"gamelens/internal/rollup"
 )
 
+// writeReflected encodes doc as indented JSON with the integrity footer by
+// reflection — how every store document was written before the append
+// encoders, kept as the reference they are held to.
+func writeReflected(t testing.TB, doc any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatalf("reference encoder: %v", err)
+	}
+	return persist.AppendFooter(buf.Bytes())
+}
+
 // reflectPartition is the partition encoder the store used before the cell
 // codec — build the partitionJSON tree and reflect over it — kept as the
 // reference encodePartition is held to.
-func reflectPartition(t *testing.T, p *partData, spanNs int64) []byte {
+func reflectPartition(t testing.TB, p *Partition) []byte {
 	t.Helper()
 	doc := partitionJSON{
 		Format:  partitionFormat,
-		Tier:    p.tier.String(),
-		StartNs: p.startNs,
-		SpanNs:  spanNs,
-		Subs:    make([]partSubJSON, 0, len(p.cells)),
+		Tier:    p.Tier.String(),
+		StartNs: p.Start.UnixNano(),
+		SpanNs:  int64(p.Span),
+		Subs:    make([]partSubJSON, 0, len(p.Subs)),
 	}
-	for i := range p.cells {
-		doc.Subs = append(doc.Subs, partSubJSON{Addr: p.cells[i].addr.String(), Counts: p.cells[i].counts})
+	for i := range p.Subs {
+		doc.Subs = append(doc.Subs, partSubJSON{Addr: p.Subs[i].Subscriber.String(), Counts: p.Subs[i].Window})
 	}
-	var buf bytes.Buffer
-	if err := writeFooted(&buf, &doc); err != nil {
-		t.Fatalf("reference encoder: %v", err)
-	}
-	return buf.Bytes()
+	return writeReflected(t, &doc)
+}
+
+// reflectManifest is the same for the manifest: the manifestJSON value
+// writeManifest used to hand the reflection writer.
+func reflectManifest(t *testing.T, s *Store) []byte {
+	t.Helper()
+	return writeReflected(t, &manifestJSON{Format: manifestFormat, SpansNs: s.spansNs, GCThrough: s.gc})
 }
 
 // reflectPending is the same for the pending tail: the pendingJSON tree
@@ -56,15 +75,11 @@ func reflectPending(t *testing.T, s *Store) []byte {
 	for _, start := range starts {
 		pj := pendingPartJSON{StartNs: start, Subs: []partSubJSON{}}
 		for _, c := range sortedCells(s.pending[start].subs) {
-			pj.Subs = append(pj.Subs, partSubJSON{Addr: c.addr.String(), Counts: c.counts})
+			pj.Subs = append(pj.Subs, partSubJSON{Addr: c.Subscriber.String(), Counts: c.Window})
 		}
 		doc.Parts = append(doc.Parts, pj)
 	}
-	var buf bytes.Buffer
-	if err := writeFooted(&buf, &doc); err != nil {
-		t.Fatalf("reference encoder: %v", err)
-	}
-	return buf.Bytes()
+	return writeReflected(t, &doc)
 }
 
 // hostileEntries is the fixture with the strings and sums the encoders can
@@ -102,8 +117,8 @@ func hostileEntries(rng *rand.Rand, n int, origin time.Time) []rollup.Entry {
 // codec's differential property: every partition the store holds — sealed
 // hours, compacted days and weeks — re-encodes through encodePartition to
 // the bytes the reflection reference writes and to the bytes on disk, and
-// the pending tail's flush equals its reference, before any entry, mid-run
-// and after Final.
+// the pending tail's flush and the manifest equal their references — before
+// any entry, mid-run (GC moving the watermarks on odd seeds) and after Final.
 func TestStoreGateEncodersMatchReflection(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -112,7 +127,11 @@ func TestStoreGateEncodersMatchReflection(t *testing.T) {
 			origin = time.Unix(-86400*365, 0).UTC().Truncate(12 * time.Minute) // pre-epoch archive
 		}
 		dir := t.TempDir()
-		s, err := Open(testCfg(dir))
+		cfg := testCfg(dir)
+		if seed%2 == 1 {
+			cfg.Retain = [numTiers]time.Duration{4 * time.Minute, 12 * time.Minute, -1}
+		}
+		s, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,6 +145,13 @@ func TestStoreGateEncodersMatchReflection(t *testing.T) {
 			}
 			if want := reflectPending(t, s); !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("seed %d %s: pending tail differs from the reference:\n%s\nwant:\n%s", seed, when, got.Bytes(), want)
+			}
+			onDisk, err := os.ReadFile(filepath.Join(dir, manifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := reflectManifest(t, s); !bytes.Equal(onDisk, want) {
+				t.Fatalf("seed %d %s: MANIFEST.json differs from the reference:\n%s\nwant:\n%s", seed, when, onDisk, want)
 			}
 		}
 		checkPending("empty")
@@ -153,21 +179,21 @@ func TestStoreGateEncodersMatchReflection(t *testing.T) {
 		}
 		parts := 0
 		for tier := TierHour; tier < numTiers; tier++ {
-			for _, p := range s.parts[tier] {
+			for start, p := range s.parts[tier] {
 				parts++
 				var got bytes.Buffer
-				if err := encodePartition(&got, p, s.spansNs[tier]); err != nil {
+				if err := encodePartition(&got, p); err != nil {
 					t.Fatalf("seed %d: encodePartition: %v", seed, err)
 				}
-				if want := reflectPartition(t, p, s.spansNs[tier]); !bytes.Equal(got.Bytes(), want) {
-					t.Fatalf("seed %d: %s differs from the reference:\n%s\nwant:\n%s", seed, partName(tier, p.startNs), got.Bytes(), want)
+				if want := reflectPartition(t, p); !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("seed %d: %s differs from the reference:\n%s\nwant:\n%s", seed, partName(tier, start), got.Bytes(), want)
 				}
-				onDisk, err := os.ReadFile(s.partPath(tier, p.startNs))
+				onDisk, err := os.ReadFile(s.partPath(tier, start))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(onDisk, got.Bytes()) {
-					t.Fatalf("seed %d: %s on disk differs from its re-encoding", seed, partName(tier, p.startNs))
+					t.Fatalf("seed %d: %s on disk differs from its re-encoding", seed, partName(tier, start))
 				}
 			}
 		}
@@ -175,18 +201,89 @@ func TestStoreGateEncodersMatchReflection(t *testing.T) {
 		if parts < 10 {
 			t.Fatalf("seed %d: only %d partitions compared; the run did not seal and compact", seed, parts)
 		}
+		if seed%2 == 1 && s.gc[TierHour] == watermarkUnset {
+			t.Fatalf("seed %d: GC never moved a watermark; the manifest was only compared in its initial state", seed)
+		}
 	}
 }
 
 // TestStoreGateEmptyPartition pins the one shape a run never seals: a
 // partition with no cells encodes "subscribers": [] on one line.
 func TestStoreGateEmptyPartition(t *testing.T) {
-	p := &partData{tier: TierDay, startNs: -240e9}
+	p := &Partition{Tier: TierDay, Start: time.Unix(0, -240e9).UTC(), Span: 240 * time.Second}
 	var got bytes.Buffer
-	if err := encodePartition(&got, p, 240e9); err != nil {
+	if err := encodePartition(&got, p); err != nil {
 		t.Fatal(err)
 	}
-	if want := reflectPartition(t, p, 240e9); !bytes.Equal(got.Bytes(), want) {
+	if want := reflectPartition(t, p); !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("empty partition:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
+}
+
+// FuzzPartitionReencode is the loader property for the one partition
+// decoder: whatever file ReadPartitionFile accepts re-encodes through
+// encodePartition to bytes that equal the reflection reference and that
+// ReadPartitionFile accepts again. The input is the document without its
+// integrity footer (the harness appends a valid one; a fuzzer cannot guess a
+// CRC); the seeds are real sealed hours and compacted days, whole, cut short,
+// and with single bits flipped.
+func FuzzPartitionReencode(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(testCfg(dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	entries := hostileEntries(rand.New(rand.NewSource(15)), 64, base)
+	s.ObserveBatch(entries)
+	if err := s.Final(); err != nil {
+		f.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	seeds := 0
+	for tier := TierHour; tier <= TierDay; tier++ {
+		for _, start := range sortedKeys(s.parts[tier], cmp.Compare[int64])[:2] {
+			data, err := os.ReadFile(s.partPath(tier, start))
+			if err != nil {
+				f.Fatal(err)
+			}
+			doc, err := persist.SplitFooter(data)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(doc)
+			seeds++
+			for i := 0; i < 16; i++ {
+				f.Add(doc[:rng.Intn(len(doc))])
+				flipped := bytes.Clone(doc)
+				flipped[rng.Intn(len(doc))] ^= 1 << rng.Intn(8)
+				f.Add(flipped)
+			}
+		}
+	}
+	if seeds != 4 {
+		f.Fatalf("seeded %d whole partitions, want 2 hours and 2 days", seeds)
+	}
+	path := filepath.Join(f.TempDir(), "fuzzed.bin") // not a partition name: the document alone decides
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		if err := os.WriteFile(path, persist.AppendFooter(bytes.Clone(doc)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := ReadPartitionFile(nil, path)
+		if err != nil {
+			t.Skip()
+		}
+		var got bytes.Buffer
+		if err := encodePartition(&got, p); err != nil {
+			t.Fatalf("encodePartition of a loaded partition: %v", err)
+		}
+		if want := reflectPartition(t, p); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("re-encoding differs from the reference:\n%s\nwant:\n%s", got.Bytes(), want)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadPartitionFile(nil, path); err != nil {
+			t.Fatalf("ReadPartitionFile rejects the re-encoding of a partition it loaded: %v", err)
+		}
+	})
 }

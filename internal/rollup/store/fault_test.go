@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
 	"gamelens/internal/faultinject"
+	"gamelens/internal/persist"
 	"gamelens/internal/rollup"
 )
 
@@ -250,6 +252,130 @@ func TestStoreGateENOSPCPersistent(t *testing.T) {
 	for _, err := range errs {
 		if !errors.Is(err, faultinject.ErrNoSpace) {
 			t.Errorf("unexpected error class: %v", err)
+		}
+	}
+}
+
+// TestStoreGatePendingRejectedWhole pins loadPending's all-or-nothing
+// contract: a PENDING.json whose footer verifies but whose content is
+// invalid at any point — format, clock, fence, an address, a cell, the cell
+// order — is quarantined and leaves the reopened store exactly as cold as a
+// missing tail would: no clock, no counters, no fence, nothing pending.
+func TestStoreGatePendingRejectedWhole(t *testing.T) {
+	seed := t.TempDir()
+	s, err := Open(testCfg(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, s, fixture(20), 7) // two sealed hours (so the tail carries a fence) and two pending ones
+	if st := s.Stats(); st.Sealed == 0 || st.Pending == 0 || st.Ingested != 20 {
+		t.Fatalf("seed archive: %+v", st)
+	}
+	files := readParts(t, seed)
+	for _, name := range []string{manifestName, pendingName} {
+		if files[name], err = os.ReadFile(filepath.Join(seed, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid, err := persist.SplitFooter(files[pendingName])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, old, new string }{
+		{"format", pendingFormat, "gamelens-pending-v0"},
+		{"clock", `"clock": "2026`, `"clock": "about 2026`},
+		{"fence", `"sealed_below": "2026`, `"sealed_below": "circa 2026`},
+		{"address", `"addr": "10.0.0.3"`, `"addr": "10.0.0.three"`},
+		{"cell", `"sessions": 1,`, `"sessions": 2,`}, // the sketches still hold one sample
+		{"cell order", `"addr": "10.0.0.2"`, `"addr": "10.0.0.1"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := bytes.Replace(valid, []byte(tc.old), []byte(tc.new), 1)
+			if bytes.Equal(doc, valid) {
+				t.Fatalf("the tail does not contain %q; the case corrupts nothing", tc.old)
+			}
+			dir := t.TempDir()
+			files[pendingName] = persist.AppendFooter(doc)
+			for name, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := Open(testCfg(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if !s.Clock().IsZero() || st.Ingested != 0 || st.Late != 0 || st.Pending != 0 || s.hasSealedBelow {
+				t.Errorf("store not cold after a rejected tail: clock %v, fence %v, %+v", s.Clock(), s.hasSealedBelow, st)
+			}
+			want := filepath.Join(dir, pendingName) + ".corrupt-0"
+			if len(st.Quarantined) != 1 || st.Quarantined[0] != want {
+				t.Errorf("quarantined %v, want [%s]", st.Quarantined, want)
+			}
+			if got, err := os.ReadFile(want); err != nil || !bytes.Equal(got, files[pendingName]) {
+				t.Errorf("quarantined tail not preserved byte for byte (%v)", err)
+			}
+		})
+	}
+}
+
+// TestStoreGateParentArchiveFixture opens an archive written by the commit
+// before the store's read side moved into persist (testdata/parent-archive:
+// six hours, two days, a GC'd watermark, a pending tail; names that need
+// escaping, v6 and zoned addresses — but valid UTF-8 throughout, since JSON
+// replaces anything else on the first write) and requires every file to load
+// and to re-encode to the bytes on disk: no format moved.
+func TestStoreGateParentArchiveFixture(t *testing.T) {
+	const src = "testdata/parent-archive"
+	dir := t.TempDir()
+	names, err := persist.OS.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string][]byte{}
+	for _, name := range names {
+		if onDisk[name], err = os.ReadFile(filepath.Join(src, name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), onDisk[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(Config{Dir: dir}) // geometry and watermarks come from the fixture's manifest
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if len(st.Quarantined) != 0 || st.Partitions != [numTiers]int{6, 2, 0} || st.Pending != 1 || st.Ingested != 64 {
+		t.Fatalf("fixture opened as %+v", st)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reencoded := map[string][]byte{}
+	var buf bytes.Buffer
+	for tier := TierHour; tier < numTiers; tier++ {
+		for start, p := range s.parts[tier] {
+			buf.Reset()
+			if err := encodePartition(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+			reencoded[partName(tier, start)] = bytes.Clone(buf.Bytes())
+		}
+	}
+	for name, build := range map[string]func([]byte) ([]byte, error){manifestName: s.appendManifest, pendingName: s.appendPendingLocked} {
+		buf.Reset()
+		if err := persist.WriteFooted(&buf, build); err != nil {
+			t.Fatal(err)
+		}
+		reencoded[name] = bytes.Clone(buf.Bytes())
+	}
+	if len(reencoded) != len(onDisk) {
+		t.Fatalf("re-encoded %d files of the fixture's %d", len(reencoded), len(onDisk))
+	}
+	for name, want := range onDisk {
+		if !bytes.Equal(reencoded[name], want) {
+			t.Errorf("%s: re-encoding differs from the parent's bytes:\n%s\nwant:\n%s", name, reencoded[name], want)
 		}
 	}
 }

@@ -19,13 +19,12 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"net/netip"
 	"path/filepath"
-	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -53,11 +52,30 @@ type manifestJSON struct {
 // writeManifest durably records geometry and watermarks. Callers rely on
 // its write-before-delete ordering (see gcLocked).
 func (s *Store) writeManifest() error {
-	doc := manifestJSON{Format: manifestFormat, SpansNs: s.spansNs, GCThrough: s.gc}
 	path := filepath.Join(s.cfg.Dir, manifestName)
 	return persist.AtomicFS(s.cfg.FS, path, func(w io.Writer) error {
-		return writeFooted(w, &doc)
+		return persist.WriteFooted(w, s.appendManifest)
 	})
+}
+
+// appendManifest appends the manifestJSON document.
+func (s *Store) appendManifest(dst []byte) ([]byte, error) {
+	dst = append(dst, "{\n \"format\": \""+manifestFormat+"\""...)
+	for _, field := range [...]struct {
+		key string
+		ns  [numTiers]int64
+	}{{`"spans_ns": [`, s.spansNs}, {`"gc_through_ns": [`, s.gc}} {
+		dst = append(dst, ",\n "...)
+		dst = append(dst, field.key...)
+		for t, ns := range field.ns {
+			if t > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, "\n  "...), ns, 10)
+		}
+		dst = append(dst, "\n ]"...)
+	}
+	return append(dst, "\n}\n"...), nil
 }
 
 // readManifestDoc reads and validates the manifest document, returning nil
@@ -65,10 +83,7 @@ func (s *Store) writeManifest() error {
 // without trusted geometry, no partition on disk can be interpreted.
 func readManifestDoc(pfs persist.FS, dir string) (*manifestJSON, error) {
 	var doc manifestJSON
-	err := persist.LoadFS(pfs, filepath.Join(dir, manifestName), func(rd io.Reader) error {
-		return readFooted(rd, &doc)
-	})
-	if err != nil {
+	if err := persist.LoadFooted(pfs, filepath.Join(dir, manifestName), &doc); err != nil {
 		if isNotExist(err) {
 			return nil, nil
 		}
@@ -140,12 +155,7 @@ func (s *Store) appendPendingLocked(dst []byte) ([]byte, error) {
 		dst = appendInstant(dst, `"sealed_below": `, s.sealedBelowNs)
 	}
 	dst = append(dst, ",\n \"partitions\": ["...)
-	starts := make([]int64, 0, len(s.pending))
-	//gamelens:sorted keys are collected here and sorted just below
-	for start := range s.pending {
-		starts = append(starts, start)
-	}
-	slices.Sort(starts)
+	starts := sortedKeys(s.pending, cmp.Compare[int64])
 	for i, start := range starts {
 		if i > 0 {
 			dst = append(dst, ',')
@@ -173,65 +183,36 @@ func appendInstant(dst []byte, key string, ns int64) []byte {
 	return append(dst, '"')
 }
 
-// loadPending restores the unsealed tail. A corrupt pending document is
-// quarantined and the store continues with an empty tail — losing the
-// unsealed remainder, exactly as a torn live-window checkpoint loses its
-// cadence interval, but never crash-looping on it.
+// loadPending restores the unsealed tail. The whole document is decoded
+// and validated before any of it reaches the store, so a corrupt one — torn,
+// or footed but carrying a bad clock, fence, address or cell — is
+// quarantined and leaves the store exactly as cold as a missing one: losing
+// the unsealed remainder, as a torn live-window checkpoint loses its cadence
+// interval, but never crash-looping on it and never keeping half of it.
 func (s *Store) loadPending() error {
 	path := filepath.Join(s.cfg.Dir, pendingName)
 	var doc pendingJSON
-	err := persist.LoadFS(s.cfg.FS, path, func(rd io.Reader) error {
-		return readFooted(rd, &doc)
-	})
+	err := persist.LoadFooted(s.cfg.FS, path, &doc)
+	if isNotExist(err) {
+		return nil
+	}
+	var tail pendingTail
+	if err == nil {
+		tail, err = decodePending(&doc)
+	}
 	if err != nil {
-		if isNotExist(err) {
-			return nil
+		if to, qerr := persist.Quarantine(s.cfg.FS, path); qerr == nil {
+			s.quarantined = append(s.quarantined, to)
 		}
-		s.quarantine(path)
 		return nil
 	}
-	if doc.Format != pendingFormat {
-		s.quarantine(path)
-		return nil
-	}
-	if doc.Clock != "" {
-		clock, err := time.Parse(time.RFC3339Nano, doc.Clock)
-		if err != nil {
-			s.quarantine(path)
-			return nil
-		}
-		s.clockNs, s.hasClock = clock.UnixNano(), true
-	}
-	if doc.SealedBelow != "" {
-		fence, err := time.Parse(time.RFC3339Nano, doc.SealedBelow)
-		if err != nil {
-			s.quarantine(path)
-			return nil
-		}
-		s.sealedBelowNs, s.hasSealedBelow = fence.UnixNano(), true
-	}
+	s.clockNs, s.hasClock = tail.clockNs, tail.hasClock
+	s.sealedBelowNs, s.hasSealedBelow = tail.sealedBelowNs, tail.hasSealedBelow
 	s.ingested, s.late = doc.Ingested, doc.Late
-	for _, pj := range doc.Parts {
-		if _, sealed := s.parts[TierHour][pj.StartNs]; sealed {
-			continue // the durable partition file won
+	for _, p := range tail.parts {
+		if _, sealed := s.parts[TierHour][p.startNs]; !sealed { // else the durable partition file won
+			s.pending[p.startNs] = p
 		}
-		p := &pendingPart{startNs: pj.StartNs, subs: map[netip.Addr]*rollup.Counts{}}
-		for _, sub := range pj.Subs {
-			addr, err := netip.ParseAddr(sub.Addr)
-			if err != nil {
-				s.quarantine(path)
-				s.pending = map[int64]*pendingPart{}
-				return nil
-			}
-			if err := rollup.ValidateCounts(&sub.Counts); err != nil {
-				s.quarantine(path)
-				s.pending = map[int64]*pendingPart{}
-				return nil
-			}
-			counts := sub.Counts
-			p.subs[addr] = &counts
-		}
-		s.pending[pj.StartNs] = p
 	}
 	// Everything below the oldest restored pending partition — or below
 	// every sealed hour — is final; late entries must not reopen it.
@@ -241,14 +222,58 @@ func (s *Store) loadPending() error {
 	return nil
 }
 
+// pendingTail is a pending document decoded: what loadPending applies.
+type pendingTail struct {
+	clockNs, sealedBelowNs   int64
+	hasClock, hasSealedBelow bool
+	parts                    []*pendingPart
+}
+
+// decodePending validates a pending document in full — format, both
+// instants, every cell of every partition (decodeCells) — and returns its
+// contents, or the first thing wrong with it.
+func decodePending(doc *pendingJSON) (tail pendingTail, err error) {
+	if doc.Format != pendingFormat {
+		return tail, fmt.Errorf("store: unknown pending format %q", doc.Format)
+	}
+	if tail.clockNs, tail.hasClock, err = parseInstant(doc.Clock); err != nil {
+		return tail, fmt.Errorf("store: pending clock: %w", err)
+	}
+	if tail.sealedBelowNs, tail.hasSealedBelow, err = parseInstant(doc.SealedBelow); err != nil {
+		return tail, fmt.Errorf("store: pending fence: %w", err)
+	}
+	for _, pj := range doc.Parts {
+		cells, err := decodeCells(pj.Subs, pendingName)
+		if err != nil {
+			return tail, err
+		}
+		p := &pendingPart{startNs: pj.StartNs, subs: make(map[netip.Addr]*rollup.Counts, len(cells))}
+		for i := range cells {
+			p.subs[cells[i].Subscriber] = &cells[i].Window
+		}
+		tail.parts = append(tail.parts, p)
+	}
+	return tail, nil
+}
+
+// parseInstant inverts appendInstant's value: "" is an unset instant.
+func parseInstant(s string) (ns int64, set bool, err error) {
+	if s == "" {
+		return 0, false, nil
+	}
+	t, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		return 0, false, err
+	}
+	return t.UnixNano(), true, nil
+}
+
 // sortedCells flattens a pending subscriber map into address-sorted cells
 // (the canonical order every encoder emits).
-func sortedCells(subs map[netip.Addr]*rollup.Counts) []cell {
-	cells := make([]cell, 0, len(subs))
-	//gamelens:sorted keys are collected here and sorted just below
-	for addr, counts := range subs {
-		cells = append(cells, cell{addr: addr, counts: *counts})
+func sortedCells(subs map[netip.Addr]*rollup.Counts) []rollup.Aggregate {
+	cells := make([]rollup.Aggregate, 0, len(subs))
+	for _, addr := range sortedKeys(subs, netip.Addr.Compare) {
+		cells = append(cells, rollup.Aggregate{Subscriber: addr, Window: *subs[addr]})
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].addr.Compare(cells[j].addr) < 0 })
 	return cells
 }

@@ -16,15 +16,14 @@
 // cell encoder the window checkpoint uses — into persist.WriteFooted's
 // recycled buffer. The bytes are what encoding/json wrote for
 // partitionJSON/pendingJSON (encode_test.go keeps that encoding as the
-// reference); the structs stay for the loaders, which still decode through
-// them, and writeFooted's reflection path stays for the manifest, which
-// holds no cells.
+// reference). Reading is persist.LoadFooted into those shells, then one
+// decoder per document — ReadPartitionFile here (the store's own scan adds
+// only its span check), decodePending in manifest.go — over the one cell
+// decoder, decodeCells.
 
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -83,18 +82,18 @@ func parsePartName(name string) (Tier, int64, bool) {
 	return 0, 0, false
 }
 
-// encodePartition writes p's canonical document (cells are already sorted
+// encodePartition writes p's canonical document (Subs are already sorted
 // by address — seal and compact both produce sorted cells, and load
 // rejects unsorted files).
-func encodePartition(w io.Writer, p *partData, spanNs int64) error {
+func encodePartition(w io.Writer, p *Partition) error {
 	return persist.WriteFooted(w, func(dst []byte) ([]byte, error) {
 		dst = append(dst, "{\n \"format\": \""+partitionFormat+"\",\n \"tier\": "...)
-		dst = canonjson.String(dst, p.tier.String())
+		dst = canonjson.String(dst, p.Tier.String())
 		dst = append(dst, ",\n \"start_ns\": "...)
-		dst = strconv.AppendInt(dst, p.startNs, 10)
+		dst = strconv.AppendInt(dst, p.Start.UnixNano(), 10)
 		dst = append(dst, ",\n \"span_ns\": "...)
-		dst = strconv.AppendInt(dst, spanNs, 10)
-		dst, err := appendCells(dst, 1, p.cells)
+		dst = strconv.AppendInt(dst, int64(p.Span), 10)
+		dst, err := appendCells(dst, 1, p.Subs)
 		return append(dst, "\n}\n"...), err
 	})
 }
@@ -103,7 +102,7 @@ func encodePartition(w io.Writer, p *partData, spanNs int64) error {
 // documents (partition, pending) end their objects with, its key at depth:
 // one {addr, counts} object per cell, the counts through the one cell codec
 // the window checkpoint uses (rollup.Counts.AppendJSON).
-func appendCells(dst []byte, depth int, cells []cell) ([]byte, error) {
+func appendCells(dst []byte, depth int, cells []rollup.Aggregate) ([]byte, error) {
 	dst = append(dst, ',')
 	dst = canonjson.Newline(dst, depth)
 	dst = append(dst, `"subscribers": [`...)
@@ -115,13 +114,13 @@ func appendCells(dst []byte, depth int, cells []cell) ([]byte, error) {
 		dst = append(dst, '{')
 		dst = canonjson.Newline(dst, depth+2)
 		dst = append(dst, `"addr": `...)
-		dst = canonjson.Addr(dst, cells[i].addr)
+		dst = canonjson.Addr(dst, cells[i].Subscriber)
 		dst = append(dst, ',')
 		dst = canonjson.Newline(dst, depth+2)
 		dst = append(dst, `"counts": `...)
 		var err error
-		if dst, err = cells[i].counts.AppendJSON(dst, depth+2); err != nil {
-			return dst, fmt.Errorf("store: encoding document: subscriber %s: %w", cells[i].addr, err)
+		if dst, err = cells[i].Window.AppendJSON(dst, depth+2); err != nil {
+			return dst, fmt.Errorf("store: encoding document: subscriber %s: %w", cells[i].Subscriber, err)
 		}
 		dst = canonjson.Newline(dst, depth+1)
 		dst = append(dst, '}')
@@ -132,94 +131,32 @@ func appendCells(dst []byte, depth int, cells []cell) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-// writeFooted encodes doc as indented JSON with the integrity footer — the
-// reflection path, kept for the manifest, which holds no cells. (The tests
-// also run the cell-carrying documents through it, as the reference the
-// append encoders above are held to.)
-func writeFooted(w io.Writer, doc any) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("store: encoding document: %w", err)
-	}
-	if _, err := w.Write(persist.AppendFooter(buf.Bytes())); err != nil {
-		return fmt.Errorf("store: writing document: %w", err)
-	}
-	return nil
-}
-
-// readFooted verifies the integrity footer and decodes the document.
-func readFooted(rd io.Reader, doc any) error {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return fmt.Errorf("store: reading document: %w", err)
-	}
-	body, err := persist.SplitFooter(data)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, doc); err != nil {
-		return fmt.Errorf("store: decoding document: %w", err)
-	}
-	return nil
-}
-
-// loadPartition reads and fully validates one partition file: footer,
-// format, tier/start/span against the file name and store geometry,
-// strictly sorted subscriber addresses (the canonical order), and every
-// cell through rollup.ValidateCounts. Anything less than fully valid is
-// an error — the caller quarantines.
-func (s *Store) loadPartition(path string, tier Tier, startNs int64) (*partData, error) {
-	var doc partitionJSON
-	err := persist.LoadFS(s.cfg.FS, path, func(rd io.Reader) error {
-		return readFooted(rd, &doc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if doc.Format != partitionFormat {
-		return nil, fmt.Errorf("store: %s: unknown partition format %q", path, doc.Format)
-	}
-	if doc.Tier != tier.String() || doc.StartNs != startNs {
-		return nil, fmt.Errorf("store: %s: document claims %s-%d", path, doc.Tier, doc.StartNs)
-	}
-	if doc.SpanNs != s.spansNs[tier] {
-		return nil, fmt.Errorf("store: %s: span %dns, want %dns", path, doc.SpanNs, s.spansNs[tier])
-	}
-	cells, err := validateCells(&doc, path)
-	if err != nil {
-		return nil, err
-	}
-	return &partData{tier: tier, startNs: startNs, cells: cells}, nil
-}
-
-// validateCells decodes and validates a partition document's subscriber
-// cells: strictly address-sorted (the canonical order) and every cell
-// structurally valid.
-func validateCells(doc *partitionJSON, path string) ([]cell, error) {
-	cells := make([]cell, 0, len(doc.Subs))
-	var prev netip.Addr
-	for i, sub := range doc.Subs {
+// decodeCells is the one cell decoder, for partition and pending documents
+// alike: every address parses, addresses are strictly ascending (the
+// canonical order every encoder writes; it also rules out duplicates), and
+// every cell passes rollup.ValidateCounts. where names the document in errors.
+func decodeCells(subs []partSubJSON, where string) ([]rollup.Aggregate, error) {
+	cells := make([]rollup.Aggregate, 0, len(subs))
+	for i, sub := range subs {
 		addr, err := netip.ParseAddr(sub.Addr)
 		if err != nil {
-			return nil, fmt.Errorf("store: %s: subscriber %q: %w", path, sub.Addr, err)
+			return nil, fmt.Errorf("store: %s: subscriber %q: %w", where, sub.Addr, err)
 		}
-		if i > 0 && prev.Compare(addr) >= 0 {
-			return nil, fmt.Errorf("store: %s: subscribers out of canonical order at %s", path, sub.Addr)
+		if i > 0 && cells[i-1].Subscriber.Compare(addr) >= 0 {
+			return nil, fmt.Errorf("store: %s: subscribers out of canonical order at %s", where, sub.Addr)
 		}
-		prev = addr
 		if err := rollup.ValidateCounts(&sub.Counts); err != nil {
-			return nil, fmt.Errorf("store: %s: subscriber %s: %w", path, sub.Addr, err)
+			return nil, fmt.Errorf("store: %s: subscriber %s: %w", where, sub.Addr, err)
 		}
-		cells = append(cells, cell{addr: addr, counts: sub.Counts})
+		cells = append(cells, rollup.Aggregate{Subscriber: addr, Window: sub.Counts})
 	}
 	return cells, nil
 }
 
-// Partition is one archive partition decoded for consumers outside the
-// store: cmd/rollupmerge folds .part files into a fleet window alongside
-// tap checkpoints.
+// Partition is one archive partition, decoded and validated: what the
+// store's index holds per durable file, and what consumers outside the store
+// get from ReadPartitionFile (cmd/rollupmerge folds .part files into a fleet
+// window alongside tap checkpoints).
 type Partition struct {
 	// Tier is the partition's granularity; Start and Span its time range.
 	Tier  Tier
@@ -229,21 +166,15 @@ type Partition struct {
 	Subs []rollup.Aggregate
 }
 
-// ReadPartitionFile loads and fully validates one partition file without a
-// Store: geometry comes from the document itself, and when the file's base
-// name parses as a partition name it must agree with the document (a
-// renamed or shuffled file is rejected, not misfiled). The integrity
-// footer, canonical cell order and per-cell validation are exactly the
-// store's own.
+// ReadPartitionFile loads and fully validates one partition file — the one
+// partition decoder, with or without a Store: integrity footer, format,
+// tier, a positive span, strictly address-sorted cells, every cell through
+// rollup.ValidateCounts. Geometry comes from the document itself, and when
+// the file's base name parses as a partition name it must agree with the
+// document (a renamed or shuffled file is rejected, not misfiled).
 func ReadPartitionFile(pfs persist.FS, path string) (*Partition, error) {
-	if pfs == nil {
-		pfs = persist.OS
-	}
 	var doc partitionJSON
-	err := persist.LoadFS(pfs, path, func(rd io.Reader) error {
-		return readFooted(rd, &doc)
-	})
-	if err != nil {
+	if err := persist.LoadFooted(pfs, path, &doc); err != nil {
 		return nil, err
 	}
 	if doc.Format != partitionFormat {
@@ -265,18 +196,29 @@ func ReadPartitionFile(pfs persist.FS, path string) (*Partition, error) {
 		(nameTier != tier || nameStart != doc.StartNs) {
 		return nil, fmt.Errorf("store: %s: document claims %s-%d", path, doc.Tier, doc.StartNs)
 	}
-	cells, err := validateCells(&doc, path)
+	cells, err := decodeCells(doc.Subs, path)
 	if err != nil {
 		return nil, err
 	}
-	p := &Partition{
+	return &Partition{
 		Tier:  tier,
 		Start: time.Unix(0, doc.StartNs).UTC(),
 		Span:  time.Duration(doc.SpanNs),
-		Subs:  make([]rollup.Aggregate, 0, len(cells)),
+		Subs:  cells,
+	}, nil
+}
+
+// loadPartition is ReadPartitionFile plus the one thing only a Store knows:
+// the span its manifest pins for the tier. (The scan takes tier and start
+// from the file name, which ReadPartitionFile has already held the document
+// to.) Anything less than fully valid is an error — the caller quarantines.
+func (s *Store) loadPartition(path string) (*Partition, error) {
+	p, err := ReadPartitionFile(s.cfg.FS, path)
+	if err != nil {
+		return nil, err
 	}
-	for i := range cells {
-		p.Subs = append(p.Subs, rollup.Aggregate{Subscriber: cells[i].addr, Window: cells[i].counts})
+	if int64(p.Span) != s.spansNs[p.Tier] {
+		return nil, fmt.Errorf("store: %s: span %v, want %v", path, p.Span, s.cfg.Spans[p.Tier])
 	}
 	return p, nil
 }
@@ -289,15 +231,16 @@ func (s *Store) partPath(tier Tier, startNs int64) string {
 // isNotExist reports a missing file (the cold-start signal, not an error).
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
-// writePartition seals p to disk atomically and indexes it.
-func (s *Store) writePartition(p *partData) error {
-	path := filepath.Join(s.cfg.Dir, partName(p.tier, p.startNs))
-	err := persist.AtomicFS(s.cfg.FS, path, func(w io.Writer) error {
-		return encodePartition(w, p, s.spansNs[p.tier])
+// writePartition seals a tier partition holding cells to disk atomically
+// and indexes it.
+func (s *Store) writePartition(tier Tier, startNs int64, cells []rollup.Aggregate) error {
+	p := &Partition{Tier: tier, Start: time.Unix(0, startNs).UTC(), Span: s.cfg.Spans[tier], Subs: cells}
+	err := persist.AtomicFS(s.cfg.FS, s.partPath(tier, startNs), func(w io.Writer) error {
+		return encodePartition(w, p)
 	})
 	if err != nil {
 		return err
 	}
-	s.parts[p.tier][p.startNs] = p
+	s.parts[tier][startNs] = p
 	return nil
 }

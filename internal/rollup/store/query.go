@@ -16,25 +16,25 @@
 package store
 
 import (
-	"net/netip"
 	"sort"
 	"time"
 
 	"gamelens/internal/rollup"
 )
 
-// visibleLocked reports whether partition p is its range's covering tier.
-func (s *Store) visibleLocked(p *partData) bool {
-	endNs := p.startNs + s.spansNs[p.tier]
-	switch p.tier {
+// visibleLocked reports whether the tier partition starting at startNs is
+// its range's covering tier.
+func (s *Store) visibleLocked(tier Tier, startNs int64) bool {
+	endNs := startNs + s.spansNs[tier]
+	switch tier {
 	case TierHour:
-		return s.gc[TierHour] == watermarkUnset || p.startNs >= s.gc[TierHour]
+		return s.gc[TierHour] == watermarkUnset || startNs >= s.gc[TierHour]
 	case TierDay:
 		return s.gc[TierHour] != watermarkUnset && endNs <= s.gc[TierHour] &&
-			(s.gc[TierDay] == watermarkUnset || p.startNs >= s.gc[TierDay])
+			(s.gc[TierDay] == watermarkUnset || startNs >= s.gc[TierDay])
 	default:
 		return s.gc[TierDay] != watermarkUnset && endNs <= s.gc[TierDay] &&
-			(s.gc[TierWeek] == watermarkUnset || p.startNs >= s.gc[TierWeek])
+			(s.gc[TierWeek] == watermarkUnset || startNs >= s.gc[TierWeek])
 	}
 }
 
@@ -42,13 +42,13 @@ func (s *Store) visibleLocked(p *partData) bool {
 // cells or a pending partition's.
 type slice struct {
 	startNs int64
-	cells   []cell
+	cells   []rollup.Aggregate
 }
 
 // slicesLocked collects every contribution intersecting [fromNs, toNs),
 // sorted by start (contributions never overlap, so start order is total
 // time order).
-func (s *Store) slicesLocked(fromNs, toNs int64) []slice {
+func (s *Store) slicesLocked(fromNs, toNs int64) [][]rollup.Aggregate {
 	var out []slice
 	for t := TierHour; t < numTiers; t++ {
 		spanNs := s.spansNs[t]
@@ -57,10 +57,10 @@ func (s *Store) slicesLocked(fromNs, toNs int64) []slice {
 			if start+spanNs <= fromNs || start >= toNs {
 				continue
 			}
-			if !s.visibleLocked(p) {
+			if !s.visibleLocked(t, start) {
 				continue
 			}
-			out = append(out, slice{startNs: start, cells: p.cells})
+			out = append(out, slice{startNs: start, cells: p.Subs})
 		}
 	}
 	hourNs := s.spansNs[TierHour]
@@ -72,7 +72,11 @@ func (s *Store) slicesLocked(fromNs, toNs int64) []slice {
 		out = append(out, slice{startNs: start, cells: sortedCells(p.subs)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].startNs < out[j].startNs })
-	return out
+	runs := make([][]rollup.Aggregate, len(out))
+	for i := range out {
+		runs[i] = out[i].cells
+	}
+	return runs
 }
 
 // Range returns the per-subscriber aggregates over [from, to) — archive
@@ -82,23 +86,7 @@ func (s *Store) slicesLocked(fromNs, toNs int64) []slice {
 func (s *Store) Range(from, to time.Time) []rollup.Aggregate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	merged := map[netip.Addr]*rollup.Counts{}
-	for _, sl := range s.slicesLocked(from.UnixNano(), to.UnixNano()) {
-		for i := range sl.cells {
-			c := &sl.cells[i]
-			acc := merged[c.addr]
-			if acc == nil {
-				acc = &rollup.Counts{}
-				merged[c.addr] = acc
-			}
-			acc.Merge(&c.counts)
-		}
-	}
-	out := make([]rollup.Aggregate, 0, len(merged))
-	for _, c := range sortedCells(merged) {
-		out = append(out, rollup.Aggregate{Subscriber: c.addr, Window: c.counts})
-	}
-	return out
+	return foldCells(s.slicesLocked(from.UnixNano(), to.UnixNano()))
 }
 
 // Total returns the fleet-wide aggregate over [from, to): every

@@ -7,10 +7,10 @@
 // tail and the archive with canonical deterministic output.
 //
 // The store taps the same report stream as the live rollup window
-// (Observe/BatchSink) and accumulates per-subscriber cells per hour
-// partition in memory; once the packet clock passes a partition's end by
-// the linger margin, Tick seals it to disk through the crash-safe persist
-// protocol (write-temp, fsync, rename, fsync dir) with the shared CRC
+// (Observe/ObserveBatch/ObserveReports) and accumulates per-subscriber cells
+// per hour partition in memory; once the packet clock passes a partition's
+// end by the linger margin, Tick seals it to disk through the crash-safe
+// persist protocol (write-temp, fsync, rename, fsync dir) with the shared CRC
 // integrity footer. Everything advances on the packet clock: Tick rides
 // the engine emitter's drain path via rollup.CheckpointerConfig.Archive,
 // so sealing, compaction and GC never touch the wall clock and replay
@@ -22,18 +22,20 @@
 // switch tiers on the watermark, so a crash between manifest write and
 // file removal leaves orphans that are ignored and re-deleted, never
 // double-counted). A torn or corrupt partition quarantines aside as
-// name.corrupt-N exactly like PR 9 checkpoints, its sources are retained,
-// and the next Tick recompacts byte-identically. A failed seal (full
-// disk) is retried at most once per partition interval and never blocks
+// name.corrupt-N (persist.Quarantine, as checkpoints do), its sources are
+// retained, and the next Tick recompacts byte-identically. A failed seal
+// (full disk) is retried at most once per partition interval and never blocks
 // ingest; MaxPending bounds the memory a persistently failing disk can
 // pin, dropping whole oldest partitions with a counter.
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/netip"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -143,12 +145,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// cell is one subscriber's aggregate within one pending partition.
-type cell struct {
-	addr   netip.Addr
-	counts rollup.Counts
-}
-
 // pendingPart is an hour partition still accumulating in memory. The
 // per-subscriber map carries cells in arrival order per subscriber, so the
 // float sums inside each cell are reproduced exactly by any run that
@@ -157,15 +153,6 @@ type cell struct {
 type pendingPart struct {
 	startNs int64
 	subs    map[netip.Addr]*rollup.Counts
-}
-
-// partData is one durable, validated partition held in the in-memory
-// index. Cells are sorted by subscriber address (the canonical file order;
-// load rejects anything else).
-type partData struct {
-	tier    Tier
-	startNs int64
-	cells   []cell
 }
 
 // Stats are the store's observability counters.
@@ -206,8 +193,8 @@ type Store struct {
 
 	mu      sync.Mutex
 	pending map[int64]*pendingPart
-	parts   [numTiers]map[int64]*partData
-	gc      [numTiers]int64 // watermark: partitions below are deleted
+	parts   [numTiers]map[int64]*Partition // durable, validated partitions by start
+	gc      [numTiers]int64                // watermark: partitions below are deleted
 
 	clockNs  int64
 	hasClock bool
@@ -259,7 +246,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, pending: map[int64]*pendingPart{}}
 	for t := range s.spansNs {
 		s.spansNs[t] = int64(cfg.Spans[t])
-		s.parts[t] = map[int64]*partData{}
+		s.parts[t] = map[int64]*Partition{}
 		s.gc[t] = watermarkUnset
 	}
 	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
@@ -311,30 +298,16 @@ func (s *Store) scan() error {
 			}
 			continue
 		}
-		p, err := s.loadPartition(path, tier, startNs)
+		p, err := s.loadPartition(path)
 		if err != nil {
-			s.quarantine(path)
+			if to, qerr := persist.Quarantine(s.cfg.FS, path); qerr == nil {
+				s.quarantined = append(s.quarantined, to)
+			}
 			continue
 		}
 		s.parts[tier][startNs] = p
 	}
 	return nil
-}
-
-// quarantine renames a corrupt file to path.corrupt-N, choosing the first
-// free N (deterministic: Open scans names sorted, and callers pass paths
-// in sorted order).
-func (s *Store) quarantine(path string) {
-	for n := 0; ; n++ {
-		to := fmt.Sprintf("%s.corrupt-%d", path, n)
-		if _, err := s.cfg.FS.Open(to); err == nil {
-			continue
-		}
-		if err := s.cfg.FS.Rename(path, to); err == nil {
-			s.quarantined = append(s.quarantined, to)
-		}
-		return
-	}
 }
 
 // Observe folds one finished-session entry into its hour partition.
@@ -356,19 +329,15 @@ func (s *Store) ObserveBatch(entries []rollup.Entry) {
 	}
 }
 
-// ObserveReports distills and folds engine session reports.
+// ObserveReports distills and folds engine session reports — the method
+// value is an engine BatchSink; compose it with the live rollup's
+// ObserveReports so both views tap the same entries.
 func (s *Store) ObserveReports(reports []*core.SessionReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range reports {
 		s.observeLocked(rollup.FromReport(r))
 	}
-}
-
-// BatchSink adapts the store to the engine's batch report stream; compose
-// it with the live rollup's sink so both views tap the same entries.
-func (s *Store) BatchSink() func([]*core.SessionReport) {
-	return s.ObserveReports
 }
 
 func (s *Store) observeLocked(e rollup.Entry) {
@@ -408,18 +377,23 @@ func (s *Store) observeLocked(e rollup.Entry) {
 // disk has kept seals from landing for MaxPending partition intervals.
 func (s *Store) boundPendingLocked() {
 	for len(s.pending) > s.cfg.MaxPending {
-		oldest := int64(0)
-		first := true
-		//gamelens:sorted min-reduction over keys; order invisible
-		for start := range s.pending {
-			if first || start < oldest {
-				oldest, first = start, false
-			}
-		}
+		oldest := sortedKeys(s.pending, cmp.Compare[int64])[0]
 		delete(s.pending, oldest)
 		s.pendingDropped++
 		s.markSealedBelowLocked(oldest + s.spansNs[TierHour])
 	}
+}
+
+// sortedKeys returns m's keys in compare's order — the one place the store
+// turns a map into a deterministic visiting order.
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	//gamelens:sorted keys are collected here and sorted just below
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
 }
 
 func (s *Store) markSealedBelowLocked(ns int64) {

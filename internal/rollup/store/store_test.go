@@ -193,22 +193,22 @@ func TestStoreGateLosslessCompaction(t *testing.T) {
 			sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
 			merged := map[netip.Addr]*rollup.Counts{}
 			for _, start := range sources {
-				p, err := s.loadPartition(s.partPath(fine, start), fine, start)
+				p, err := s.loadPartition(s.partPath(fine, start))
 				if err != nil {
 					t.Fatalf("reloading %s source: %v", coarse, err)
 				}
-				for i := range p.cells {
-					acc := merged[p.cells[i].addr]
+				for i := range p.Subs {
+					acc := merged[p.Subs[i].Subscriber]
 					if acc == nil {
 						acc = &rollup.Counts{}
-						merged[p.cells[i].addr] = acc
+						merged[p.Subs[i].Subscriber] = acc
 					}
-					acc.Merge(&p.cells[i].counts)
+					acc.Merge(&p.Subs[i].Window)
 				}
 			}
 			var want bytes.Buffer
-			ind := &partData{tier: coarse, startNs: period, cells: sortedCells(merged)}
-			if err := encodePartition(&want, ind, spanNs); err != nil {
+			ind := &Partition{Tier: coarse, Start: time.Unix(0, period), Span: time.Duration(spanNs), Subs: sortedCells(merged)}
+			if err := encodePartition(&want, ind); err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(s.partPath(coarse, period))
