@@ -376,9 +376,7 @@ func BenchmarkSteadyState(b *testing.B) {
 			return render(pipe.Finish())
 		}
 		eng := NewEngine(EngineConfig{Shards: shards}, m)
-		if err := st.Replay(eng.Producer().HandlePacket); err != nil {
-			b.Fatal(err)
-		}
+		gamesim.ReplayRawFrames(st.Flows, st.Eps, st.Starts, eng.Producer().HandleFrame)
 		return render(eng.Finish())
 	}
 	want := runOnce(0)
@@ -401,9 +399,7 @@ func BenchmarkSteadyState(b *testing.B) {
 					StreamOnly: true,
 					Pipeline:   PipelineConfig{FlowTTL: 15 * time.Second},
 				}, m)
-				if err := st.Replay(eng.Producer().HandlePacket); err != nil {
-					b.Fatal(err)
-				}
+				gamesim.ReplayRawFrames(st.Flows, st.Eps, st.Starts, eng.Producer().HandleFrame)
 				eng.Finish()
 				emitted += eng.Stats().EmittedReports
 				if rs := ru.Stats(); rs.Ingested+rs.Late != int64(len(st.Flows)) {

@@ -16,16 +16,11 @@ import (
 
 func grade(label string, s *gamesim.Session) {
 	qos := qoe.EstimateSessionQoS(s, time.Second)
-	var objCounts, effCounts [qoe.NumLevels]int
-	var obj, eff []qoe.Level
+	var objCounts, effCounts [qoe.NumLevels]int64
 	for k, q := range qos {
 		st := trace.StageAt(s.Spans, time.Duration(k)*time.Second)
-		o := qoe.Objective(q)
-		e := qoe.Effective(q, qoe.Context{Demand: s.Title.Demand, Stage: st})
-		obj = append(obj, o)
-		eff = append(eff, e)
-		objCounts[o]++
-		effCounts[e]++
+		objCounts[qoe.Objective(q)]++
+		effCounts[qoe.Effective(q, qoe.Context{Demand: s.Title.Demand, Stage: st})]++
 	}
 	fmt.Printf("%s (%s, %s, %.0f min)\n", label, s.Title.Name, s.Config, s.Duration().Minutes())
 	fmt.Printf("  mean throughput: %.1f Mbps; path: RTT %v, loss %.2f%%\n",
@@ -35,7 +30,7 @@ func grade(label string, s *gamesim.Session) {
 	fmt.Printf("  per-second effective levels: good=%d medium=%d bad=%d\n",
 		effCounts[qoe.Good], effCounts[qoe.Medium], effCounts[qoe.Bad])
 	fmt.Printf("  session grade: objective=%v effective=%v\n\n",
-		qoe.SessionLevel(obj), qoe.SessionLevel(eff))
+		qoe.SessionLevelFromCounts(objCounts), qoe.SessionLevelFromCounts(effCounts))
 }
 
 func main() {

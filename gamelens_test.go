@@ -7,6 +7,7 @@ import (
 
 	"gamelens/internal/gamesim"
 	"gamelens/internal/mlkit"
+	"gamelens/internal/race"
 	"gamelens/internal/stageclass"
 	"gamelens/internal/titleclass"
 	"gamelens/internal/trace"
@@ -18,7 +19,7 @@ func smallTrainOptions() TrainOptions {
 		SessionLength:    12 * time.Minute,
 		TitleConfig:      titleclass.Config{Forest: mlkit.ForestConfig{NumTrees: 60, MaxDepth: 10}},
 	}
-	if raceEnabled {
+	if race.Enabled {
 		opts.SessionsPerTitle = 2
 		opts.SessionLength = 6 * time.Minute
 		opts.TitleConfig.Forest.NumTrees = 20
@@ -146,9 +147,7 @@ func TestEngineLifecycleThroughFacade(t *testing.T) {
 		Sink:     func(r *SessionReport) { streamed = append(streamed, r) },
 		Pipeline: PipelineConfig{FlowTTL: 20 * time.Second},
 	}, models)
-	if err := st.Replay(eng.Producer().HandlePacket); err != nil {
-		t.Fatal(err)
-	}
+	gamesim.ReplayRawFrames(st.Flows, st.Eps, st.Starts, eng.Producer().HandleFrame)
 	reports := eng.Finish()
 	if len(reports) != flows {
 		t.Fatalf("%d reports, want %d", len(reports), flows)

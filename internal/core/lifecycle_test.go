@@ -6,6 +6,7 @@ import (
 
 	"gamelens/internal/gamesim"
 	"gamelens/internal/packet"
+	"gamelens/internal/race"
 	"gamelens/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func TestLifecycleEviction(t *testing.T) {
 	}
 	tm, sm := models(t)
 	flows, length := 6, 90*time.Second
-	if raceEnabled {
+	if race.Enabled {
 		flows, length = 4, 60*time.Second
 	}
 	st := lifecycleStream(t, flows, length, 2*time.Minute)
@@ -270,7 +271,7 @@ func TestLifecycleFreesDetectorState(t *testing.T) {
 	tm, sm := models(t)
 	flows := 4
 	length := 40 * time.Second
-	if raceEnabled {
+	if race.Enabled {
 		flows = 2
 	}
 	st := lifecycleStream(t, flows, length, length+30*time.Second)
@@ -325,7 +326,7 @@ func TestEvictionKeepsSlotAccounting(t *testing.T) {
 	}
 	tm, sm := models(t)
 	length := 2 * time.Minute
-	if raceEnabled {
+	if race.Enabled {
 		length = time.Minute
 	}
 	st := lifecycleStream(t, 2, length, 3*time.Minute)

@@ -2,7 +2,11 @@
 // cloud-gaming packet filter feeding, per detected streaming flow, the
 // game-title classification process (first N seconds), the continuous
 // player-activity-stage classifier with gameplay-activity-pattern inference,
-// and context-calibrated effective-QoE measurement.
+// and context-calibrated effective-QoE measurement. The per-slot step of
+// the last two — stage, pattern, demand context, QoE grades — is Accounting
+// (accounting.go), and nothing else in the tree implements it: the packet
+// path below folds packets into slots for it, internal/fleet feeds it
+// simulated slots.
 package core
 
 import (
@@ -12,7 +16,6 @@ import (
 
 	"gamelens/internal/features"
 	"gamelens/internal/flowdetect"
-	"gamelens/internal/gamesim"
 	"gamelens/internal/packet"
 	"gamelens/internal/qoe"
 	"gamelens/internal/stageclass"
@@ -22,8 +25,6 @@ import (
 
 // Config tunes the pipeline.
 type Config struct {
-	// Filter configures the cloud-gaming packet filter.
-	Filter flowdetect.Config
 	// LaunchWindow is how long after flow start the stream is treated as
 	// the game launch stage (stage classification is suppressed there;
 	// title classification uses its first N seconds). Cloud launch scenes
@@ -85,11 +86,10 @@ type Pipeline struct {
 
 	// Hoisted per-slot constants: closeSlot runs once per native slot per
 	// flow, so the config lookups it used to repeat live here instead.
-	vol     features.VolumetricConfig
-	native  int     // native slots per I-wide tracker slot
-	slotMin float64 // vol.I in minutes, the per-slot stage time credit
-	window  time.Duration
-	lagMs   float64
+	vol    features.VolumetricConfig
+	native int // native slots per I-wide tracker slot
+	window time.Duration
+	lagMs  float64
 
 	// titleSc is the title-classification scratch reused across flows, and
 	// launchFree recycles decided flows' launch buffers for later flows.
@@ -109,17 +109,16 @@ func New(cfg Config, titles *titleclass.Classifier, stages *stageclass.Classifie
 		native = 1
 	}
 	return &Pipeline{
-		cfg:     cfg,
-		det:     flowdetect.NewTable[FlowSession](cfg.Filter),
-		titles:  titles,
-		stages:  stages,
-		flows:   make(map[packet.FlowKey]*FlowSession),
-		lc:      newLifecycle(cfg),
-		vol:     vol,
-		native:  native,
-		slotMin: vol.I.Minutes(),
-		window:  titles.Config().Window,
-		lagMs:   cfg.QoSLag.Seconds() * 1000,
+		cfg:    cfg,
+		det:    flowdetect.NewTable[FlowSession](flowdetect.Config{}),
+		titles: titles,
+		stages: stages,
+		flows:  make(map[packet.FlowKey]*FlowSession),
+		lc:     newLifecycle(cfg),
+		vol:    vol,
+		native: native,
+		window: titles.Config().Window,
+		lagMs:  cfg.QoSLag.Seconds() * 1000,
 	}
 }
 
@@ -136,24 +135,11 @@ type FlowSession struct {
 	Title        titleclass.Result
 	TitleDecided bool
 
-	// CurrentStage is the latest per-slot stage classification.
-	CurrentStage stageclass.StageResult
-	// StageMinutes accumulates classified gameplay stage time.
-	StageMinutes [trace.NumStages]float64
-
-	// Pattern is the latched gameplay-activity-pattern inference.
-	Pattern      stageclass.PatternResult
-	PatternKnown bool
-
-	// objCounts and effCounts accumulate per-slot QoE levels as fixed-size
-	// histograms: the session grade is the majority level, so the counts
-	// carry everything a report derives and a session of any length costs
-	// O(1) memory (the slices they replaced grew one entry per slot).
-	objCounts [qoe.NumLevels]int64
-	effCounts [qoe.NumLevels]int64
+	// Accounting is the flow's stage, pattern and QoE state; closeSlot
+	// pushes every closed tracker slot through it.
+	Accounting
 
 	launchBuf []trace.Pkt
-	tracker   *stageclass.Tracker
 	curSlot   trace.Slot
 	slotIdx   int
 	bytesDown int64
@@ -196,7 +182,7 @@ type SessionReport struct {
 	EffectiveScore float64
 	// End is the session's last packet timestamp (the report covers
 	// [Flow.FirstSeen, End]). Zero on reports built directly from
-	// FlowSession.Report without finalization.
+	// FlowSession.ReportInto without finalization.
 	End time.Time
 	// Evicted marks a report produced by TTL eviction of an idle flow
 	// rather than by Finish at end of capture.
@@ -264,9 +250,9 @@ func (p *Pipeline) adopt(f *flowdetect.Flow) *FlowSession {
 	fs := p.flows[f.Key]
 	if fs == nil {
 		fs = &FlowSession{
-			Flow:    f,
-			Start:   f.FirstSeen,
-			tracker: p.stages.NewTracker(p.cfg.LaunchWindow),
+			Flow:       f,
+			Start:      f.FirstSeen,
+			Accounting: NewAccounting(p.stages, p.cfg.LaunchWindow),
 		}
 		if n := len(p.launchFree); n > 0 {
 			fs.launchBuf = p.launchFree[n-1]
@@ -348,23 +334,6 @@ func (p *Pipeline) closeSlot(fs *FlowSession) {
 	fs.pendingI = trace.Slot{}
 	fs.pendingN = 0
 
-	sr := fs.tracker.Push(slot)
-	fs.CurrentStage = sr
-	if sr.Stage != trace.StageLaunch {
-		fs.StageMinutes[sr.Stage] += p.slotMin
-	}
-	if pr, ok := fs.tracker.Pattern(); ok {
-		fs.Pattern = pr
-		fs.PatternKnown = true
-	}
-
-	// QoE for the closed slot.
-	demand := 1.0
-	if fs.TitleDecided && fs.Title.Known {
-		demand = gamesim.TitleByID(fs.Title.Title).Demand
-	} else if fs.PatternKnown {
-		demand = qoe.PatternDemand(fs.Pattern.Pattern)
-	}
 	mbps := slot.DownThroughputMbps(p.vol.I)
 	fps := estimateFrameRate(slot, p.vol.I)
 	if mbps > fs.peakMbps {
@@ -373,17 +342,12 @@ func (p *Pipeline) closeSlot(fs *FlowSession) {
 	if fps > fs.peakFPS {
 		fs.peakFPS = fps
 	}
-	q := qoe.SlotQoS{
+	fs.Push(slot, qoe.SlotQoS{
 		DownMbps:  mbps,
 		FrameRate: fps,
 		LagMs:     p.lagMs,
 		LossRate:  p.cfg.QoSLoss,
-	}
-	fs.objCounts[qoe.Objective(q)]++
-	fs.effCounts[qoe.Effective(q, qoe.Context{
-		Demand: demand, Stage: sr.Stage,
-		SettingsMbps: fs.peakMbps, SettingsFPS: fs.peakFPS,
-	})]++
+	}, fs.peakMbps, fs.peakFPS, fs.Title)
 }
 
 // estimateFrameRate derives a frame-rate estimate from the slot's packet
@@ -420,11 +384,6 @@ func estimateFrameRate(slot trace.Slot, i time.Duration) float64 {
 	return fps
 }
 
-// Report summarizes one flow session into a freshly allocated report.
-func (fs *FlowSession) Report() *SessionReport {
-	return fs.ReportInto(new(SessionReport))
-}
-
 // ReportInto summarizes the flow session through caller-owned dst,
 // following the same borrow convention as the ...Into scratch methods:
 // every field of dst is overwritten (no state leaks from a previous use),
@@ -434,21 +393,20 @@ func (fs *FlowSession) Report() *SessionReport {
 // pipeline rewrites them here, so steady-state report emission allocates
 // nothing (see RecycleReport).
 func (fs *FlowSession) ReportInto(dst *SessionReport) *SessionReport {
+	obj, eff, score := fs.Grades()
+	pattern, known := fs.Pattern()
 	*dst = SessionReport{
 		Flow:           fs.Flow,
 		Title:          fs.Title,
-		Pattern:        fs.Pattern,
-		PatternKnown:   fs.PatternKnown,
+		Pattern:        pattern,
+		PatternKnown:   known,
 		StageMinutes:   fs.StageMinutes,
-		Objective:      qoe.SessionLevelFromCounts(fs.objCounts),
-		Effective:      qoe.SessionLevelFromCounts(fs.effCounts),
-		EffectiveScore: qoe.SessionScoreFromCounts(fs.effCounts),
+		Objective:      obj,
+		Effective:      eff,
+		EffectiveScore: score,
 	}
 	if fs.secs > 0 {
 		dst.MeanDownMbps = float64(fs.bytesDown) * 8 / fs.secs / 1e6
-	}
-	if !fs.PatternKnown && fs.tracker != nil && fs.tracker.Transitions().Total() > 0 {
-		dst.Pattern = fs.tracker.ForcePattern()
 	}
 	return dst
 }

@@ -14,6 +14,7 @@ import (
 	"gamelens/internal/packet"
 	"gamelens/internal/pcapio"
 	"gamelens/internal/qoe"
+	"gamelens/internal/race"
 	"gamelens/internal/stageclass"
 	"gamelens/internal/titleclass"
 	"gamelens/internal/trace"
@@ -29,7 +30,7 @@ func models(t testing.TB) (*titleclass.Classifier, *stageclass.Classifier) {
 	t.Helper()
 	modelsOnce.Do(func() {
 		perTitle, sessLen, titleTrees, stageTrees := 4, 25*time.Minute, 60, 40
-		if raceEnabled {
+		if race.Enabled {
 			perTitle, sessLen, titleTrees, stageTrees = 2, 10*time.Minute, 20, 15
 		}
 		rng := rand.New(rand.NewSource(800))
@@ -92,7 +93,7 @@ func TestPipelineEndToEndFromPCAP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
-	if raceEnabled {
+	if race.Enabled {
 		// Pipeline is single-threaded, so the detector can't observe
 		// anything here; this is the package's longest replay and its
 		// classification-quality assertions need the full-size fixture.
@@ -192,7 +193,7 @@ func TestPipelineQoEOnImpairedPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("single-threaded replay; race pass covers the lifecycle tests")
 	}
 	tm, sm := models(t)

@@ -28,7 +28,7 @@ import (
 	"gamelens/internal/engine"
 	"gamelens/internal/faultinject"
 	"gamelens/internal/gamesim"
-	"gamelens/internal/packet"
+	"gamelens/internal/race"
 	"gamelens/internal/rollup"
 )
 
@@ -38,7 +38,7 @@ import (
 func recoveryStream(t *testing.T) (*gamesim.PacketStream, int) {
 	t.Helper()
 	flows := 8
-	if raceEnabled {
+	if race.Enabled {
 		flows = 4
 	}
 	rng := rand.New(rand.NewSource(58))
@@ -60,7 +60,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	tm, sm := models(t)
 	st, flows := recoveryStream(t)
 	shardCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	if raceEnabled {
+	if race.Enabled {
 		shardCounts = []int{1, 4, 8}
 	}
 	width := int64(ckptRollupCfg.Window) / int64(ckptRollupCfg.Buckets)
@@ -81,7 +81,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				Shards:   shards,
 				Pipeline: core.Config{FlowTTL: 15 * time.Second},
 			}, tm, sm)
-			feed(t, st, eng.Producer().HandlePacket)
+			feedFrames(st, eng.Producer().HandleFrame)
 			reports := eng.Finish()
 			if len(reports) != flows {
 				t.Fatalf("%d reports, want %d", len(reports), flows)
@@ -245,7 +245,7 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 	// distinct rollup clocks instead of one burst at Finish.
 	var nextPause time.Time
 	p := eng.Producer()
-	feed(t, st, func(ts time.Time, dec *packet.Decoded, payload []byte) {
+	feedFrames(st, func(ts time.Time, frame []byte) {
 		if nextPause.IsZero() {
 			nextPause = ts.Add(time.Minute)
 		}
@@ -254,7 +254,7 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 			waitStats(t, eng, "the emitter to drain the report backlog",
 				func(st engine.Stats) bool { return st.ReportBacklog == 0 })
 		}
-		p.HandlePacket(ts, dec, payload)
+		p.HandleFrame(ts, frame)
 	})
 	eng.Finish()
 
@@ -299,7 +299,7 @@ func TestEmitterSinkPanicSupervision(t *testing.T) {
 		StreamOnly:  true,
 		Pipeline:    core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
-	feed(t, st, eng.Producer().HandlePacket)
+	feedFrames(st, eng.Producer().HandleFrame)
 	if reports := eng.Finish(); reports != nil {
 		t.Fatalf("StreamOnly Finish returned %d reports, want nil", len(reports))
 	}
@@ -339,7 +339,7 @@ func TestEmitterBatchSinkPanicIsolated(t *testing.T) {
 		BatchSink:  faultinject.PanicBatchSink(func([]*core.SessionReport) { batches.Add(1) }, 1),
 		StreamOnly: true,
 	}, tm, sm)
-	feed(t, st, eng.Producer().HandlePacket)
+	feedFrames(st, eng.Producer().HandleFrame)
 	eng.Finish()
 
 	stats := eng.Stats()
@@ -374,7 +374,7 @@ func TestCheckpointHookPanicPoisoned(t *testing.T) {
 		},
 		Pipeline: core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
-	feed(t, st, eng.Producer().HandlePacket)
+	feedFrames(st, eng.Producer().HandleFrame)
 	eng.Finish()
 
 	stats := eng.Stats()

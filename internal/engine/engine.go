@@ -31,9 +31,7 @@
 // HandleFrame parses the raw frame once, on the producer's goroutine
 // (packet.Summarize — a single pass over the headers, ~16 ns); a frame that
 // fails to parse is counted there (Stats.DecodeErrors) and goes no further.
-// HandlePacket serves callers that already decoded, summarizing their
-// packet.Decoded. Either way the shard's per-packet work starts at the flow
-// lookup.
+// The shard's per-packet work starts at the flow lookup.
 //
 // # Report path
 //
@@ -193,8 +191,8 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	// Shards is the worker count.
 	Shards int
-	// PacketsIn counts every frame handed to a Producer's HandlePacket or
-	// HandleFrame, summed over all producers.
+	// PacketsIn counts every frame handed to a Producer's HandleFrame,
+	// summed over all producers.
 	PacketsIn int64
 	// Processed counts packets consumed: those the shard workers have
 	// replayed into their pipelines plus the frames rejected at ingest (see
@@ -202,7 +200,7 @@ type Stats struct {
 	Processed int64
 	// Dropped counts packets shed under DropOverload.
 	Dropped int64
-	// DecodeErrors counts raw frames (HandleFrame path) that failed to
+	// DecodeErrors counts raw frames that failed to
 	// parse — exactly the frames packet.Decode rejects. The producer counts
 	// them as it meets them and they are dropped silently, as a capture
 	// loop skipping malformed frames would.

@@ -15,6 +15,7 @@ import (
 	"gamelens/internal/mlkit"
 	"gamelens/internal/packet"
 	"gamelens/internal/qoe"
+	"gamelens/internal/race"
 	"gamelens/internal/stageclass"
 	"gamelens/internal/titleclass"
 	"gamelens/internal/trace"
@@ -33,7 +34,7 @@ func models(t testing.TB) (*titleclass.Classifier, *stageclass.Classifier) {
 	t.Helper()
 	modelsOnce.Do(func() {
 		sessLen, titleTrees, stageTrees := 10*time.Minute, 30, 25
-		if raceEnabled {
+		if race.Enabled {
 			sessLen, titleTrees, stageTrees = 5*time.Minute, 15, 15
 		}
 		rng := rand.New(rand.NewSource(600))
@@ -81,7 +82,7 @@ func sharedStream(t testing.TB) *gamesim.PacketStream {
 	t.Helper()
 	streamOnce.Do(func() {
 		length, limit := 4*time.Minute, 2*time.Minute
-		if raceEnabled {
+		if race.Enabled {
 			streamFlows, length, limit = 3, 90*time.Second, 30*time.Second
 		}
 		rng := rand.New(rand.NewSource(77))
@@ -97,7 +98,14 @@ func sharedStream(t testing.TB) *gamesim.PacketStream {
 	return testStream
 }
 
-// feed replays the stream in global timestamp order through handle.
+// feedFrames replays the stream's raw frames in global timestamp order
+// through handle, the way a capture loop feeds Producer.HandleFrame.
+func feedFrames(st *gamesim.PacketStream, handle func(ts time.Time, frame []byte)) {
+	gamesim.ReplayRawFrames(st.Flows, st.Eps, st.Starts, handle)
+}
+
+// feed replays the same stream decoded, for the single core.Pipeline the
+// engine is held to.
 func feed(t testing.TB, st *gamesim.PacketStream, handle func(ts time.Time, dec *packet.Decoded, payload []byte)) {
 	t.Helper()
 	if err := st.Replay(handle); err != nil {
@@ -176,7 +184,7 @@ func TestEngineMatchesPipeline(t *testing.T) {
 			eng := engine.New(engine.Config{
 				Shards: tc.shards, BatchSize: tc.batch, QueueDepth: tc.queue,
 			}, tm, sm)
-			feed(t, st, eng.Producer().HandlePacket)
+			feedFrames(st, eng.Producer().HandleFrame)
 			got := normalize(eng.Finish())
 			if len(got) != len(want) {
 				t.Fatalf("engine found %d flows, pipeline found %d", len(got), len(want))
@@ -202,7 +210,7 @@ func TestFinishDeterministicOrder(t *testing.T) {
 	var orders [][]string
 	for _, shards := range []int{1, 4, 7} {
 		eng := engine.New(engine.Config{Shards: shards}, tm, sm)
-		feed(t, st, eng.Producer().HandlePacket)
+		feedFrames(st, eng.Producer().HandleFrame)
 		reports := eng.Finish()
 		var order []string
 		for i, r := range reports {
@@ -302,7 +310,7 @@ func TestStreamedMatchesFinish(t *testing.T) {
 					mu.Unlock()
 				},
 			}, tm, sm)
-			feed(t, st, eng.Producer().HandlePacket)
+			feedFrames(st, eng.Producer().HandleFrame)
 			finished := eng.Finish()
 			if len(streamed) != len(finished) {
 				t.Fatalf("sink saw %d reports, Finish returned %d", len(streamed), len(finished))
@@ -356,7 +364,7 @@ func TestEngineEvictionBoundsActiveFlows(t *testing.T) {
 		time.Date(2026, 3, 3, 7, 0, 0, 0, time.UTC), 75*time.Second)
 
 	shardCounts := []int{1, 2, 4, 8}
-	if raceEnabled {
+	if race.Enabled {
 		shardCounts = []int{1, 4}
 	}
 	for _, shards := range shardCounts {
@@ -372,7 +380,7 @@ func TestEngineEvictionBoundsActiveFlows(t *testing.T) {
 				},
 				Pipeline: core.Config{FlowTTL: 15 * time.Second},
 			}, tm, sm)
-			feed(t, st, eng.Producer().HandlePacket)
+			feedFrames(st, eng.Producer().HandleFrame)
 			reports := eng.Finish()
 			if len(reports) != flows {
 				t.Fatalf("%d reports, want %d", len(reports), flows)
@@ -462,7 +470,7 @@ func TestProducerExpireIdle(t *testing.T) {
 	want := normalize(wantReports)
 
 	shardCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	if raceEnabled {
+	if race.Enabled {
 		shardCounts = []int{1, 4}
 	}
 	for _, shards := range shardCounts {
@@ -474,7 +482,7 @@ func TestProducerExpireIdle(t *testing.T) {
 				Pipeline: cfg,
 			}, tm, sm)
 			p := eng.Producer()
-			feed(t, st, p.HandlePacket)
+			feedFrames(st, p.HandleFrame)
 			p.ExpireIdle(sweep) // no Flush first: the sweep flushes ahead of itself
 
 			// The sweep runs asynchronously, on the shard workers.
@@ -536,7 +544,7 @@ func TestStreamOnlyDoesNotRetain(t *testing.T) {
 		},
 		Pipeline: core.Config{FlowTTL: time.Minute},
 	}, tm, sm)
-	feed(t, st, eng.Producer().HandlePacket)
+	feedFrames(st, eng.Producer().HandleFrame)
 	if got := eng.Finish(); got != nil {
 		t.Errorf("StreamOnly Finish returned %d reports, want nil", len(got))
 	}
@@ -564,11 +572,8 @@ func TestAdaptiveBatchTrickle(t *testing.T) {
 		pkts = append(pkts, trace.Pkt{T: time.Duration(i) * 2 * time.Second, Dir: trace.Down, Size: 1200})
 	}
 	eng := engine.New(engine.Config{Shards: 1, BatchSize: 64, FlushLatency: 25 * time.Millisecond}, tm, sm)
-	err := gamesim.ReplayFlow(pkts, gamesim.FlowEndpoints(900),
-		time.Date(2026, 3, 4, 5, 0, 0, 0, time.UTC), eng.Producer().HandlePacket)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gamesim.ReplayFlowFrames(pkts, gamesim.FlowEndpoints(900),
+		time.Date(2026, 3, 4, 5, 0, 0, 0, time.UTC), eng.Producer().HandleFrame)
 	if got := eng.Stats().ShardBatch[0]; got != 1 {
 		t.Errorf("effective batch on a 0.5 pkt/s trickle = %d, want 1", got)
 	}
@@ -586,12 +591,12 @@ func TestAdaptiveBatchStats(t *testing.T) {
 	// sharedStream packets arrive hundreds per second per flow; with a
 	// 5ms budget the threshold must adapt below the cap.
 	eng := engine.New(engine.Config{Shards: 2, BatchSize: 512, FlushLatency: 5 * time.Millisecond}, tm, sm)
-	feed(t, st, eng.Producer().HandlePacket)
+	feedFrames(st, eng.Producer().HandleFrame)
 	adapted := eng.Stats()
 	eng.Finish()
 
 	fixed := engine.New(engine.Config{Shards: 2, BatchSize: 512, FlushLatency: -1}, tm, sm)
-	feed(t, st, fixed.Producer().HandlePacket)
+	feedFrames(st, fixed.Producer().HandleFrame)
 	fixedStats := fixed.Stats()
 	fixed.Finish()
 
@@ -617,7 +622,7 @@ func TestEngineStats(t *testing.T) {
 	st := sharedStream(t)
 	const shards = 4
 	eng := engine.New(engine.Config{Shards: shards}, tm, sm)
-	feed(t, st, eng.Producer().HandlePacket)
+	feedFrames(st, eng.Producer().HandleFrame)
 	reports := eng.Finish()
 
 	stats := eng.Stats()

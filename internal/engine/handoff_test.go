@@ -11,6 +11,7 @@ import (
 	"gamelens/internal/flowdetect"
 	"gamelens/internal/gamesim"
 	"gamelens/internal/packet"
+	"gamelens/internal/race"
 )
 
 // TestProducerFramesMatchPipeline is the raw-frame handoff's sharding
@@ -34,7 +35,7 @@ func TestProducerFramesMatchPipeline(t *testing.T) {
 	}
 
 	shardCounts := []int{1, 2, 4, 8}
-	if raceEnabled {
+	if race.Enabled {
 		shardCounts = []int{1, 4}
 	}
 	for _, shards := range shardCounts {
@@ -76,10 +77,9 @@ func TestProducerFramesMatchPipeline(t *testing.T) {
 	}
 }
 
-// TestMultiProducerSameShard contends several explicit producers — half on
-// the decoded path, half on the raw-frame path — against a single shard
-// with a shallow lane, so the blocking backpressure path runs while the
-// worker drains all lanes. Primarily a -race target: the SPSC rings and the
+// TestMultiProducerSameShard contends several explicit producers against a
+// single shard with a shallow lane, so the blocking backpressure path runs
+// while the worker drains all lanes. Primarily a -race target: the SPSC rings and the
 // wake protocol are the only synchronization between a producer and the
 // worker.
 func TestMultiProducerSameShard(t *testing.T) {
@@ -93,11 +93,7 @@ func TestMultiProducerSameShard(t *testing.T) {
 			defer wg.Done()
 			p := eng.Producer()
 			defer p.Close()
-			if i%2 == 0 {
-				st.ReplayOneFrames(i, p.HandleFrame)
-			} else if err := st.ReplayOne(i, p.HandlePacket); err != nil {
-				t.Error(err)
-			}
+			st.ReplayOneFrames(i, p.HandleFrame)
 		}(i)
 	}
 	wg.Wait()
@@ -164,7 +160,7 @@ func TestDropStormAllocationFlat(t *testing.T) {
 		t.Fatalf("processed %d + dropped %d != fed %d", stats.Processed, stats.Dropped, fed)
 	}
 
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are only pinned in the plain build")
 	}
 	// Exact pin: with the workers stopped and the lane full, every flush
@@ -189,7 +185,7 @@ func TestDropStormAllocationFlat(t *testing.T) {
 // batch used to cost one heap object per batch, the whole of the engine's
 // steady-state allocation rate.
 func TestConsumeSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are only pinned in the plain build")
 	}
 	tm, sm := models(t)
@@ -324,7 +320,7 @@ func TestMixedTrafficMatchesPipeline(t *testing.T) {
 	}
 
 	shardCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	if raceEnabled {
+	if race.Enabled {
 		shardCounts = []int{1, 3}
 	}
 	for _, drop := range []bool{false, true} {

@@ -40,9 +40,9 @@ type pair struct {
 
 // Producer is one ingest goroutine's handle into the engine. Each producer
 // owns a private SPSC lane to every shard, so concurrent producers never
-// contend on a lock or a cache line: HandlePacket/HandleFrame append the
-// frame's summary to the producer-local pending batch and hand full batches
-// to the shard worker through the lane's ring.
+// contend on a lock or a cache line: HandleFrame appends the frame's summary
+// to the producer-local pending batch and hands full batches to the shard
+// worker through the lane's ring.
 //
 // A Producer is strictly single-goroutine — the lanes are SPSC, so calling
 // any method concurrently from two goroutines corrupts the handoff. Feed
@@ -75,18 +75,6 @@ func newProducer(e *Engine) *Producer {
 		e.shards[i].addQueue(q)
 	}
 	return p
-}
-
-// HandlePacket routes one decoded frame to its flow's shard. Only the
-// frame's summary (packet.Decoded.SummaryInto) is queued, so the caller may
-// reuse its decode buffers immediately.
-func (p *Producer) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byte) {
-	var s packet.Summary
-	dec.SummaryInto(payload, &s)
-	p.enqueue(shardOf(s.Key, len(p.e.shards)), ts, &s)
-	if p.e.tickEvery > 0 {
-		p.tick(ts)
-	}
 }
 
 // HandleFrame routes one raw Ethernet frame to its flow's shard. The

@@ -10,19 +10,19 @@ import (
 	"gamelens/internal/core"
 	"gamelens/internal/engine"
 	"gamelens/internal/gamesim"
-	"gamelens/internal/packet"
+	"gamelens/internal/race"
 )
 
-// TestConcurrentHandlePacket hammers one engine from many goroutines (one
+// TestConcurrentHandleFrame hammers one engine from many goroutines (one
 // per flow, each with its own Producer — the deployment shape) while
 // another goroutine polls Stats, then checks the counters and merged
 // reports are coherent. Run it under
 // `go test -race ./internal/engine` — that race pass is the point.
-func TestConcurrentHandlePacket(t *testing.T) {
+func TestConcurrentHandleFrame(t *testing.T) {
 	tm, sm := models(t)
 	const shards = 4
 	flows, sessLen, expand := 12, 2*time.Minute, 75*time.Second
-	if raceEnabled {
+	if race.Enabled {
 		flows, sessLen, expand = 6, time.Minute, 40*time.Second
 	}
 	eng := engine.New(engine.Config{
@@ -43,14 +43,10 @@ func TestConcurrentHandlePacket(t *testing.T) {
 			start := base.Add(time.Duration(i) * 311 * time.Millisecond)
 			p := eng.Producer()
 			defer p.Close()
-			err := gamesim.ReplayFlow(s.ExpandPackets(expand), gamesim.FlowEndpoints(i), start,
-				func(ts time.Time, dec *packet.Decoded, payload []byte) {
-					p.HandlePacket(ts, dec, payload)
-					fed.Add(1)
-				})
-			if err != nil {
-				t.Error(err)
-			}
+			gamesim.ReplayFlowFrames(s.ExpandPackets(expand), gamesim.FlowEndpoints(i), start, func(ts time.Time, frame []byte) {
+				p.HandleFrame(ts, frame)
+				fed.Add(1)
+			})
 		}(i)
 	}
 
@@ -114,7 +110,7 @@ func TestConcurrentSinkConsumer(t *testing.T) {
 	tm, sm := models(t)
 	const shards = 4
 	flows := 12
-	if raceEnabled {
+	if race.Enabled {
 		flows = 8
 	}
 	reports := make(chan *core.SessionReport, flows)
@@ -165,10 +161,7 @@ func TestConcurrentSinkConsumer(t *testing.T) {
 					1400+int64(i)*23, gamesim.Options{SessionLength: time.Minute})
 				p := eng.Producer()
 				defer p.Close()
-				err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(200+i), start, p.HandlePacket)
-				if err != nil {
-					t.Error(err)
-				}
+				gamesim.ReplayFlowFrames(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(200+i), start, p.HandleFrame)
 			}(i)
 		}
 		wg.Wait()
@@ -268,14 +261,10 @@ func TestDropOverload(t *testing.T) {
 			n := int64(0)
 			p := eng.Producer()
 			defer p.Close()
-			err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(100+i), start,
-				func(ts time.Time, dec *packet.Decoded, payload []byte) {
-					p.HandlePacket(ts, dec, payload)
-					n++
-				})
-			if err != nil {
-				t.Error(err)
-			}
+			gamesim.ReplayFlowFrames(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(100+i), start, func(ts time.Time, frame []byte) {
+				p.HandleFrame(ts, frame)
+				n++
+			})
 			atomic.AddInt64(&fed, n)
 		}(i)
 	}
@@ -308,7 +297,7 @@ func TestDropOverload(t *testing.T) {
 func TestEngineExpireIdleConcurrent(t *testing.T) {
 	tm, sm := models(t)
 	flows := 6
-	if raceEnabled {
+	if race.Enabled {
 		flows = 3
 	}
 	const ttl = 45 * time.Second
@@ -338,14 +327,10 @@ func TestEngineExpireIdleConcurrent(t *testing.T) {
 				1500+int64(i)*29, gamesim.Options{SessionLength: time.Minute})
 			p := eng.Producer()
 			defer p.Close()
-			err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(300+i), base,
-				func(ts time.Time, dec *packet.Decoded, payload []byte) {
-					p.HandlePacket(ts, dec, payload)
-					fed.Add(1)
-				})
-			if err != nil {
-				t.Error(err)
-			}
+			gamesim.ReplayFlowFrames(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(300+i), base, func(ts time.Time, frame []byte) {
+				p.HandleFrame(ts, frame)
+				fed.Add(1)
+			})
 		}(i)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"gamelens/internal/engine"
 	"gamelens/internal/gamesim"
 	"gamelens/internal/packet"
+	"gamelens/internal/race"
 )
 
 // shardOf maps one gamesim endpoint identity to its engine shard.
@@ -73,14 +74,10 @@ func TestSlowSinkShardIsolation(t *testing.T) {
 			gamesim.RandomConfig(rng), gamesim.LabNetwork(),
 			2100+int64(epIdx)*13, gamesim.Options{SessionLength: time.Minute})
 		var n int64
-		err := gamesim.ReplayFlow(s.ExpandPackets(20*time.Second), gamesim.FlowEndpoints(epIdx), start,
-			func(ts time.Time, dec *packet.Decoded, payload []byte) {
-				p.HandlePacket(ts, dec, payload)
-				n++
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
+		gamesim.ReplayFlowFrames(s.ExpandPackets(20*time.Second), gamesim.FlowEndpoints(epIdx), start, func(ts time.Time, frame []byte) {
+			p.HandleFrame(ts, frame)
+			n++
+		})
 		return n
 	}
 
@@ -129,7 +126,7 @@ func TestEvictionStormExactlyOnce(t *testing.T) {
 	tm, sm := models(t)
 	const shards = 4
 	flows := 16
-	if raceEnabled {
+	if race.Enabled {
 		flows = 8
 	}
 	seen := make(map[string]int)
@@ -157,10 +154,7 @@ func TestEvictionStormExactlyOnce(t *testing.T) {
 					2300+int64(i)*31, gamesim.Options{SessionLength: time.Minute})
 				p := eng.Producer()
 				defer p.Close()
-				err := gamesim.ReplayFlow(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(500+i), start, p.HandlePacket)
-				if err != nil {
-					t.Error(err)
-				}
+				gamesim.ReplayFlowFrames(s.ExpandPackets(30*time.Second), gamesim.FlowEndpoints(500+i), start, p.HandleFrame)
 			}(i)
 		}
 		wg.Wait()

@@ -17,6 +17,7 @@ import (
 	"gamelens/internal/engine"
 	"gamelens/internal/gamesim"
 	"gamelens/internal/packet"
+	"gamelens/internal/race"
 	"gamelens/internal/rollup"
 	"gamelens/internal/trace"
 )
@@ -81,7 +82,7 @@ func TestAutoTickEvictsQuietShard(t *testing.T) {
 		TickInterval: 5 * time.Second,
 		Pipeline:     core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
-	feed(t, st, eng.Producer().HandlePacket)
+	feedFrames(st, eng.Producer().HandleFrame)
 
 	// A went idle at +15s, TTL expires at +30s, and B's traffic reaches
 	// +60s: the automatic tick must have swept shard 0 during the replay.
@@ -145,7 +146,7 @@ func TestAutoTickDisabled(t *testing.T) {
 		Pipeline:     core.Config{FlowTTL: 15 * time.Second},
 	}, tm, sm)
 	p := eng.Producer()
-	feed(t, st, p.HandlePacket)
+	feedFrames(st, p.HandleFrame)
 	p.Flush()
 	// Drain, so the stats are exact, then check nothing was evicted.
 	if stats := waitConsumed(t, eng); stats.EvictedFlows != 0 {
@@ -165,7 +166,7 @@ func TestRollupCheckpointIdenticalAcrossShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	flows := 8
 	shardCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	if raceEnabled {
+	if race.Enabled {
 		flows, shardCounts = 4, []int{1, 4, 8}
 	}
 	var sessions []*gamesim.Session
@@ -188,7 +189,7 @@ func TestRollupCheckpointIdenticalAcrossShards(t *testing.T) {
 				Shards:   shards,
 				Pipeline: core.Config{FlowTTL: 15 * time.Second},
 			}, tm, sm)
-			feed(t, st, eng.Producer().HandlePacket)
+			feedFrames(st, eng.Producer().HandleFrame)
 			reports := eng.Finish() // order-normalized: sorted by (start, key)
 			if len(reports) != flows {
 				t.Fatalf("%d reports, want %d", len(reports), flows)

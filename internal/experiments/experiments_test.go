@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -137,6 +139,10 @@ func TestFigure10Table4(t *testing.T) {
 	}
 }
 
+// TestFieldExperiments holds the §5 tables to the bytes the commit before
+// fleet moved onto core.Accounting rendered at tinyOptions()
+// (testdata/parent-*.txt): the field figures come from the per-slot step the
+// tap runs, and they did not move.
 func TestFieldExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a fleet")
@@ -149,9 +155,16 @@ func TestFieldExperiments(t *testing.T) {
 	if len(fr.Records) != c.Opts.FleetSessions {
 		t.Fatalf("%d records", len(fr.Records))
 	}
-	for _, r := range []*Result{Figure11(fr), Figure12(fr), Figure13(fr), FieldValidation(fr)} {
-		if r.Table == nil || len(r.Table.Rows) == 0 {
-			t.Errorf("%s: empty table", r.ID)
+	for name, r := range map[string]*Result{
+		"figure11": Figure11(fr), "figure12": Figure12(fr), "figure13": Figure13(fr),
+		"field-validation": FieldValidation(fr),
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", "parent-"+name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.String(); got != string(want) {
+			t.Errorf("%s differs from the parent commit's table:\n got:\n%s\nwant:\n%s", r.ID, got, want)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func NewFieldRun(c *Corpus) (*FieldRun, error) {
 		SessionLength: sessionLen,
 		Seed:          opts.Seed + 35,
 	}, titles, stages)
-	return &FieldRun{Records: d.Run(), Opts: opts}, nil
+	return &FieldRun{Records: d.RunStream(0, nil), Opts: opts}, nil
 }
 
 // Figure11 reports the average minutes per session spent in each player

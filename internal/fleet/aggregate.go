@@ -8,31 +8,32 @@ import (
 	"gamelens/internal/trace"
 )
 
-// TitleAggregate is the per-title roll-up behind Fig 11(a), 12(a), 13(a).
-type TitleAggregate struct {
-	Title    gamesim.TitleID
+// Aggregate is the roll-up of one group of sessions behind Fig 11, 12, 13.
+type Aggregate struct {
 	Sessions int
 	// MeanStageMinutes is the average per-session minutes spent in each
-	// classified stage (Fig 11a).
+	// classified stage (Fig 11).
 	MeanStageMinutes [trace.NumStages]float64
 	// Throughputs holds the per-session mean downstream Mbps, sorted
-	// (Fig 12a box ranges).
+	// (Fig 12 box ranges).
 	Throughputs []float64
 	// ObjectiveShare and EffectiveShare are session fractions per QoE
-	// level (Fig 13a).
+	// level (Fig 13).
 	ObjectiveShare [qoe.NumLevels]float64
 	EffectiveShare [qoe.NumLevels]float64
+}
+
+// TitleAggregate is the roll-up per classified title (Fig 11a, 12a, 13a).
+type TitleAggregate struct {
+	Title gamesim.TitleID
+	Aggregate
 }
 
 // PatternAggregate is the same roll-up for long-tail sessions grouped by
 // inferred gameplay activity pattern (Fig 11b, 12b, 13b).
 type PatternAggregate struct {
-	Pattern          gamesim.Pattern
-	Sessions         int
-	MeanStageMinutes [trace.NumStages]float64
-	Throughputs      []float64
-	ObjectiveShare   [qoe.NumLevels]float64
-	EffectiveShare   [qoe.NumLevels]float64
+	Pattern gamesim.Pattern
+	Aggregate
 }
 
 // Validation is the §5 field-validation summary: online title classification
@@ -66,19 +67,17 @@ func (v Validation) PatternAccuracy() float64 {
 	return float64(v.PatternCorrect) / float64(v.PatternSessions)
 }
 
-// AggregateByTitle rolls catalog-title sessions up per *classified* title
-// (unknown-title sessions are skipped), the view the operator sees online.
-func AggregateByTitle(records []*SessionRecord) []*TitleAggregate {
-	byTitle := map[gamesim.TitleID]*TitleAggregate{}
+// aggregate is the one grouped fold: group tells which of n groups a record
+// belongs to, or that it belongs to none. Groups come back indexed by group,
+// empty ones included.
+func aggregate(records []*SessionRecord, n int, group func(*SessionRecord) (int, bool)) []Aggregate {
+	aggs := make([]Aggregate, n)
 	for _, r := range records {
-		if !r.TitleResult.Known {
+		g, ok := group(r)
+		if !ok {
 			continue
 		}
-		agg := byTitle[r.TitleResult.Title]
-		if agg == nil {
-			agg = &TitleAggregate{Title: r.TitleResult.Title}
-			byTitle[r.TitleResult.Title] = agg
-		}
+		agg := &aggs[g]
 		agg.Sessions++
 		for st := range r.StageMinutes {
 			agg.MeanStageMinutes[st] += r.StageMinutes[st]
@@ -87,59 +86,48 @@ func AggregateByTitle(records []*SessionRecord) []*TitleAggregate {
 		agg.ObjectiveShare[r.Objective]++
 		agg.EffectiveShare[r.Effective]++
 	}
-	out := make([]*TitleAggregate, 0, len(byTitle))
-	for _, agg := range byTitle {
-		n := float64(agg.Sessions)
+	for g := range aggs {
+		agg := &aggs[g]
+		if agg.Sessions == 0 {
+			continue
+		}
+		count := float64(agg.Sessions)
 		for st := range agg.MeanStageMinutes {
-			agg.MeanStageMinutes[st] /= n
+			agg.MeanStageMinutes[st] /= count
 		}
 		for l := range agg.ObjectiveShare {
-			agg.ObjectiveShare[l] /= n
-			agg.EffectiveShare[l] /= n
+			agg.ObjectiveShare[l] /= count
+			agg.EffectiveShare[l] /= count
 		}
 		sort.Float64s(agg.Throughputs)
-		out = append(out, agg)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Title < out[j].Title })
+	return aggs
+}
+
+// AggregateByTitle rolls sessions up per *classified* title, in title order
+// (unknown-title sessions are skipped, titles nobody played are omitted):
+// the view the operator sees online.
+func AggregateByTitle(records []*SessionRecord) []*TitleAggregate {
+	var out []*TitleAggregate
+	for id, agg := range aggregate(records, int(gamesim.NumTitles), func(r *SessionRecord) (int, bool) {
+		return int(r.TitleResult.Title), r.TitleResult.Known
+	}) {
+		if agg.Sessions > 0 {
+			out = append(out, &TitleAggregate{gamesim.TitleID(id), agg})
+		}
+	}
 	return out
 }
 
 // AggregateByPattern rolls the sessions the classifier could NOT name (the
-// long tail) up by inferred gameplay activity pattern.
+// long tail) up by inferred gameplay activity pattern, one entry per
+// pattern.
 func AggregateByPattern(records []*SessionRecord) []*PatternAggregate {
-	aggs := [gamesim.NumPatterns]*PatternAggregate{}
-	for p := range aggs {
-		aggs[p] = &PatternAggregate{Pattern: gamesim.Pattern(p)}
-	}
-	for _, r := range records {
-		if r.TitleResult.Known {
-			continue
-		}
-		agg := aggs[r.PatternResult.Pattern]
-		agg.Sessions++
-		for st := range r.StageMinutes {
-			agg.MeanStageMinutes[st] += r.StageMinutes[st]
-		}
-		agg.Throughputs = append(agg.Throughputs, r.MeanDownMbps)
-		agg.ObjectiveShare[r.Objective]++
-		agg.EffectiveShare[r.Effective]++
-	}
-	out := make([]*PatternAggregate, 0, len(aggs))
-	for _, agg := range aggs {
-		if agg.Sessions == 0 {
-			out = append(out, agg)
-			continue
-		}
-		n := float64(agg.Sessions)
-		for st := range agg.MeanStageMinutes {
-			agg.MeanStageMinutes[st] /= n
-		}
-		for l := range agg.ObjectiveShare {
-			agg.ObjectiveShare[l] /= n
-			agg.EffectiveShare[l] /= n
-		}
-		sort.Float64s(agg.Throughputs)
-		out = append(out, agg)
+	var out []*PatternAggregate
+	for p, agg := range aggregate(records, gamesim.NumPatterns, func(r *SessionRecord) (int, bool) {
+		return int(r.PatternResult.Pattern), !r.TitleResult.Known
+	}) {
+		out = append(out, &PatternAggregate{gamesim.Pattern(p), agg})
 	}
 	return out
 }

@@ -1,10 +1,13 @@
 // Package fleet simulates the paper's §5 field deployment: a population of
 // cloud-game streaming sessions drawn from the Table 1 popularity mix (plus
 // the long-tail of titles outside the catalog), played over a spread of
-// access-network conditions, measured by the trained classification pipeline
-// in real time, and validated against the "server log" ground truth that is
-// only available offline. Its aggregations regenerate Fig 11, Fig 12 and
-// Fig 13 and the §5 field-validation accuracy.
+// access-network conditions, and validated against the "server log" ground
+// truth that is only available offline. It owns four things: the population
+// sampler, one runner (RunStream), one grouped fold of the records (by
+// classified title or inferred pattern — Fig 11, 12, 13 — plus the §5
+// validation tally) and the bridge into the per-subscriber rollup. The
+// measurement itself is not here: each session's slots go through
+// core.Accounting, the per-slot step the packet tap runs.
 package fleet
 
 import (
@@ -13,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"gamelens/internal/core"
 	"gamelens/internal/gamesim"
 	"gamelens/internal/qoe"
 	"gamelens/internal/stageclass"
@@ -35,9 +39,7 @@ type Config struct {
 	Sessions int
 	// LongTailFrac is the fraction of sessions playing titles outside the
 	// top-13 catalog. Zero means a pure-catalog population; negative
-	// selects DefaultLongTailFrac, the Table 1 mix. (Zero used to be the
-	// default sentinel, which made a 0% long-tail population
-	// unexpressible — the negative-means-default split fixes that.)
+	// selects DefaultLongTailFrac, the Table 1 mix.
 	LongTailFrac float64
 	// ImpairedFrac is the fraction of sessions on degraded access paths
 	// (high RTT, loss, or bandwidth caps). Zero means every path is
@@ -71,10 +73,9 @@ func (c Config) withDefaults() Config {
 // pipeline measured online, and the offline ground truth used for
 // validation and aggregation.
 type SessionRecord struct {
-	// Index is the session's position in the sampled population, stable
-	// across Run/RunConcurrent/RunStream — the deterministic identity the
-	// rollup bridge derives subscriber addresses and packet-time stamps
-	// from.
+	// Index is the session's position in the sampled population — the
+	// deterministic identity the rollup bridge derives subscriber addresses
+	// and packet-time stamps from.
 	Index int
 
 	// Ground truth ("server log", available only offline in the paper).
@@ -103,16 +104,14 @@ type SessionRecord struct {
 	Objective qoe.Level
 	Effective qoe.Level
 	// EffectiveScore is the continuous effective-QoE proxy in [0, 1] (mean
-	// graded-slot level, qoe.SessionScore) the rollup sketches for
-	// percentile views.
+	// graded-slot level) the rollup sketches for percentile views.
 	EffectiveScore float64
 	// DurationMinutes is the session length.
 	DurationMinutes float64
 }
 
-// Deployment runs sessions through the trained models one at a time
-// (sessions are generated, measured, reduced to a SessionRecord, and
-// discarded).
+// Deployment runs sessions through the trained models (each is generated,
+// measured, reduced to a SessionRecord, and discarded).
 type Deployment struct {
 	cfg    Config
 	titles *titleclass.Classifier
@@ -151,9 +150,9 @@ func sampleNetwork(rng *rand.Rand, impairedFrac float64) gamesim.NetworkConditio
 	return n
 }
 
-// sessionDraw is one pre-sampled population member: everything Run needs to
+// sessionDraw is one pre-sampled population member: everything needed to
 // generate and measure session i, drawn from the deployment rng up front so
-// the sequential and concurrent paths see the same population.
+// the population does not depend on the worker count.
 type sessionDraw struct {
 	i     int
 	title gamesim.Title
@@ -183,44 +182,14 @@ func (d *Deployment) samplePopulation() []sessionDraw {
 	return draws
 }
 
-// runOne generates and measures one pre-sampled session.
-func (d *Deployment) runOne(dr sessionDraw) *SessionRecord {
-	s := gamesim.GenerateTitle(dr.title, dr.cfg, dr.net, d.cfg.Seed+int64(dr.i)*6007+11, gamesim.Options{
-		SessionLength: d.cfg.SessionLength,
-	})
-	rec := d.measure(s)
-	rec.Index = dr.i
-	return rec
-}
-
-// Run simulates the deployment and returns one record per session.
-func (d *Deployment) Run() []*SessionRecord {
-	out := make([]*SessionRecord, 0, d.cfg.Sessions)
-	for _, dr := range d.samplePopulation() {
-		out = append(out, d.runOne(dr))
-	}
-	return out
-}
-
-// RunConcurrent is Run spread across a worker pool, the fleet-scale
-// counterpart of the sharded packet engine: sessions are independent (like
-// flows), so the population is sampled up front from the same seeded rng
-// stream as Run and then generated + measured on workers goroutines
-// (default all cores). The classifiers are shared — prediction is read-only
-// — and every per-session structure (tracker, feature extractor) is worker
-// local, so the records are byte-identical to Run's, in the same order.
-func (d *Deployment) RunConcurrent(workers int) []*SessionRecord {
-	return d.RunStream(workers, nil)
-}
-
-// RunStream is RunConcurrent with incremental emission, the deployment
-// analogue of the packet engine's report sink: each record is handed to
-// emit as soon as its session is measured, in completion order, so a
-// monitor acts on sessions while the rest of the day is still being
-// processed instead of waiting for the end-of-run dump. Calls to emit are
-// serialized (no two run concurrently); the returned slice is still in
-// population order, byte-identical to Run's. A nil emit degrades to
-// RunConcurrent.
+// RunStream simulates the deployment on workers goroutines (default all
+// cores) and returns one record per session, in population order whatever
+// the worker count: sessions are independent (like flows), the population is
+// sampled up front from the one seeded rng stream, the classifiers are
+// shared read-only and every per-session structure is worker local. A
+// non-nil emit is handed each record as soon as its session is measured, in
+// completion order — the deployment analogue of the packet engine's report
+// sink — with calls serialized (no two run concurrently).
 func (d *Deployment) RunStream(workers int, emit func(*SessionRecord)) []*SessionRecord {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -235,7 +204,9 @@ func (d *Deployment) RunStream(workers int, emit func(*SessionRecord)) []*Sessio
 		go func() {
 			defer wg.Done()
 			for dr := range jobs {
-				rec := d.runOne(dr)
+				rec := d.measure(gamesim.GenerateTitle(dr.title, dr.cfg, dr.net,
+					d.cfg.Seed+int64(dr.i)*6007+11, gamesim.Options{SessionLength: d.cfg.SessionLength}))
+				rec.Index = dr.i
 				out[dr.i] = rec
 				if emit != nil {
 					emitMu.Lock()
@@ -253,7 +224,11 @@ func (d *Deployment) RunStream(workers int, emit func(*SessionRecord)) []*Sessio
 	return out
 }
 
-// measure runs the full online pipeline over one session.
+// measure runs the online method over one session: classify the launch
+// window, then push every tracker-wide slot, with the simulator's QoS
+// series and the session's true streaming settings (settings detection is
+// prior work [32]; the deployment consumes it as a given), through the
+// per-slot accounting the packet pipeline runs.
 func (d *Deployment) measure(s *gamesim.Session) *SessionRecord {
 	rec := &SessionRecord{
 		Title:           s.Title,
@@ -261,59 +236,21 @@ func (d *Deployment) measure(s *gamesim.Session) *SessionRecord {
 		Pattern:         s.Title.Pattern,
 		Config:          s.Config,
 		Net:             s.Net,
+		TitleResult:     d.titles.Classify(s.Launch),
 		MeanDownMbps:    s.MeanDownMbps(),
 		DurationMinutes: s.Duration().Minutes(),
 	}
-	// Title classification from the launch window.
-	rec.TitleResult = d.titles.Classify(s.Launch)
-
-	// Continuous stage tracking and pattern inference.
-	vol := d.stages.Config().Volumetric
-	tracker := d.stages.NewTracker(s.LaunchEnd())
-	re := trace.Rebin(s.Slots, vol.I)
-	qos := qoe.EstimateSessionQoS(s, vol.I)
-
-	// Demand context for effective QoE: classified title when known, else
-	// the pattern-level default once inferred (pattern inference arrives
-	// mid-session; earlier slots are graded with generic demand 1.0 —
-	// matching what an operator can know at that moment).
-	demand := 1.0
-	if rec.TitleResult.Known {
-		demand = gamesim.TitleByID(rec.TitleResult.Title).Demand
+	i := d.stages.Config().Volumetric.I
+	acct := core.NewAccounting(d.stages, s.LaunchEnd())
+	qos := qoe.EstimateSessionQoS(s, i)
+	for k, slot := range trace.Rebin(s.Slots, i) {
+		acct.Push(slot, qos[k], s.PeakDownMbps, float64(s.Config.FPS), rec.TitleResult)
 	}
-	var objective, effective []qoe.Level
-	for k, slot := range re {
-		sr := tracker.Push(slot)
-		if sr.Stage != trace.StageLaunch {
-			rec.StageMinutes[sr.Stage] += vol.I.Minutes()
-		}
-		if !rec.TitleResult.Known {
-			if pr, ok := tracker.Pattern(); ok {
-				demand = qoe.PatternDemand(pr.Pattern)
-			}
-		}
-		if k < len(qos) {
-			objective = append(objective, qoe.Objective(qos[k]))
-			effective = append(effective, qoe.Effective(qos[k], qoe.Context{
-				Demand: demand, Stage: sr.Stage,
-				// Streaming-settings detection is prior work [32]; the
-				// deployment consumes it as a given.
-				SettingsMbps: s.PeakDownMbps,
-				SettingsFPS:  float64(s.Config.FPS),
-			}))
-		}
-	}
-	if pr, ok := tracker.Pattern(); ok {
-		rec.PatternResult = pr
-		rec.PatternKnown = true
-	} else {
-		rec.PatternResult = tracker.ForcePattern()
-	}
+	rec.StageMinutes = acct.StageMinutes
+	rec.PatternResult, rec.PatternKnown = acct.Pattern()
+	rec.Objective, rec.Effective, rec.EffectiveScore = acct.Grades()
 	for _, sp := range s.Spans {
 		rec.TrueStageMinutes[sp.Stage] += sp.Duration().Minutes()
 	}
-	rec.Objective = qoe.SessionLevel(objective)
-	rec.Effective = qoe.SessionLevel(effective)
-	rec.EffectiveScore = qoe.SessionScore(effective)
 	return rec
 }

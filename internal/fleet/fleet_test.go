@@ -64,7 +64,7 @@ func runSmallFleet(t testing.TB, sessions int, seed int64) []*SessionRecord {
 		SessionLength: 12 * time.Minute,
 		Seed:          seed,
 	}, tm, sm)
-	return d.Run()
+	return d.RunStream(0, nil)
 }
 
 func TestDeploymentRecordsComplete(t *testing.T) {
@@ -101,9 +101,11 @@ func TestDeploymentRecordsComplete(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentMatchesRun(t *testing.T) {
+// TestRunStreamWorkerCountInvariant: the records, and their order, do not
+// depend on how many workers measured them.
+func TestRunStreamWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains models and simulates a fleet twice")
+		t.Skip("trains models and simulates a fleet several times")
 	}
 	tm, sm := models(t)
 	d := New(Config{
@@ -113,15 +115,15 @@ func TestRunConcurrentMatchesRun(t *testing.T) {
 		SessionLength: 10 * time.Minute,
 		Seed:          5,
 	}, tm, sm)
-	want := d.Run()
-	for _, workers := range []int{1, 3, 8} {
-		got := d.RunConcurrent(workers)
+	want := d.RunStream(1, nil)
+	for _, workers := range []int{3, 8} {
+		got := d.RunStream(workers, nil)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d records, want %d", workers, len(got), len(want))
 		}
 		for i := range want {
 			if *got[i] != *want[i] {
-				t.Errorf("workers=%d: record %d diverged:\n concurrent %+v\n sequential %+v",
+				t.Errorf("workers=%d: record %d diverged:\n got %+v\n one worker %+v",
 					workers, i, *got[i], *want[i])
 			}
 		}
@@ -140,7 +142,7 @@ func TestRunStreamEmitsEveryRecord(t *testing.T) {
 		SessionLength: 10 * time.Minute,
 		Seed:          7,
 	}, tm, sm)
-	want := d.Run()
+	want := d.RunStream(1, nil)
 
 	var emitted []*SessionRecord // emit is serialized, so no lock needed
 	got := d.RunStream(4, func(r *SessionRecord) {
@@ -151,7 +153,7 @@ func TestRunStreamEmitsEveryRecord(t *testing.T) {
 	}
 	// Emission order is completion order, but the set must be exactly the
 	// returned records, each exactly once, and the returned slice must
-	// still match the sequential run in population order.
+	// still match the one-worker run in population order.
 	seen := make(map[*SessionRecord]bool, len(emitted))
 	for _, r := range emitted {
 		if seen[r] {
@@ -164,8 +166,129 @@ func TestRunStreamEmitsEveryRecord(t *testing.T) {
 			t.Errorf("record %d returned but never emitted", i)
 		}
 		if *got[i] != *want[i] {
-			t.Errorf("record %d diverged from sequential run", i)
+			t.Errorf("record %d diverged from the one-worker run", i)
 		}
+	}
+}
+
+// referenceMeasure is the slice-based per-slot loop Deployment.measure ran
+// before it moved onto core.Accounting, kept as the reference of
+// TestMeasureMatchesReferenceLoop (the way the reflection encoders survive
+// in rollup's encode_test.go). Do not tidy it: it is the old code.
+func referenceMeasure(d *Deployment, s *gamesim.Session) *SessionRecord {
+	rec := &SessionRecord{
+		Title:           s.Title,
+		InCatalog:       s.Title.IsCatalog(),
+		Pattern:         s.Title.Pattern,
+		Config:          s.Config,
+		Net:             s.Net,
+		MeanDownMbps:    s.MeanDownMbps(),
+		DurationMinutes: s.Duration().Minutes(),
+	}
+	rec.TitleResult = d.titles.Classify(s.Launch)
+
+	vol := d.stages.Config().Volumetric
+	tracker := d.stages.NewTracker(s.LaunchEnd())
+	re := trace.Rebin(s.Slots, vol.I)
+	qos := qoe.EstimateSessionQoS(s, vol.I)
+
+	demand := 1.0
+	if rec.TitleResult.Known {
+		demand = gamesim.TitleByID(rec.TitleResult.Title).Demand
+	}
+	var objective, effective []qoe.Level
+	for k, slot := range re {
+		sr := tracker.Push(slot)
+		if sr.Stage != trace.StageLaunch {
+			rec.StageMinutes[sr.Stage] += vol.I.Minutes()
+		}
+		if !rec.TitleResult.Known {
+			if pr, ok := tracker.Pattern(); ok {
+				demand = qoe.PatternDemand(pr.Pattern)
+			}
+		}
+		if k < len(qos) {
+			objective = append(objective, qoe.Objective(qos[k]))
+			effective = append(effective, qoe.Effective(qos[k], qoe.Context{
+				Demand: demand, Stage: sr.Stage,
+				SettingsMbps: s.PeakDownMbps,
+				SettingsFPS:  float64(s.Config.FPS),
+			}))
+		}
+	}
+	if pr, ok := tracker.Pattern(); ok {
+		rec.PatternResult = pr
+		rec.PatternKnown = true
+	} else {
+		rec.PatternResult = tracker.ForcePattern()
+	}
+	for _, sp := range s.Spans {
+		rec.TrueStageMinutes[sp.Stage] += sp.Duration().Minutes()
+	}
+	var objCounts, effCounts [qoe.NumLevels]int64
+	for _, l := range objective {
+		objCounts[l]++
+	}
+	for _, l := range effective {
+		effCounts[l]++
+	}
+	rec.Objective = qoe.SessionLevelFromCounts(objCounts)
+	rec.Effective = qoe.SessionLevelFromCounts(effCounts)
+	rec.EffectiveScore = qoe.SessionScoreFromCounts(effCounts)
+	return rec
+}
+
+// TestMeasureMatchesReferenceLoop is the differential behind "fleet runs the
+// tap's per-slot step": over 40 seeded sessions — catalog and long-tail
+// titles, healthy and impaired paths, whole sessions and ones cut to the
+// launch stage alone or to a single slot past it — measure's record must
+// equal the old loop's, field for field. The copies disagreed in exactly one
+// case, and core's rule is the one kept: a session that never saw a stage
+// transition reports no pattern guess (the old fleet loop asked the pattern
+// forest about an empty matrix).
+func TestMeasureMatchesReferenceLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models and measures 40 sessions twice")
+	}
+	tm, sm := models(t)
+	d := New(Config{}, tm, sm)
+	kinds := [5]int{}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		title := gamesim.TitleByID(gamesim.RandomTitle(rng))
+		if seed%4 == 0 {
+			title = gamesim.GenericTitle(seed)
+		}
+		s := gamesim.GenerateTitle(title, gamesim.RandomConfig(rng), sampleNetwork(rng, float64(seed%2)),
+			seed, gamesim.Options{SessionLength: 8 * time.Minute})
+		kind := int(seed % 5) // 0..2 whole, 3 launch only, 4 one slot past the launch
+		if kind >= 3 {
+			// The tracker calls a slot launch while it ends inside the
+			// launch stage: keep the whole ones, plus one for kind 4.
+			i := sm.Config().Volumetric.I
+			end := (s.LaunchEnd()/i + time.Duration(kind-3)) * i
+			s.Slots = s.Slots[:end/trace.SlotDuration]
+			s.Spans = s.Spans[:kind-2]
+			s.Spans[kind-3].End = end
+		}
+		kinds[kind]++
+
+		got, want := d.measure(s), referenceMeasure(d, s)
+		if got.StageMinutes == ([trace.NumStages]float64{}) != (kind == 3) {
+			t.Errorf("seed %d kind %d: stage minutes %v", seed, kind, got.StageMinutes)
+		}
+		if kind >= 3 {
+			if got.PatternKnown || got.PatternResult != (stageclass.PatternResult{}) {
+				t.Errorf("seed %d: pattern %+v from a session without a stage transition", seed, got.PatternResult)
+			}
+			want.PatternResult = stageclass.PatternResult{}
+		}
+		if *got != *want {
+			t.Errorf("seed %d kind %d: measure diverged from the reference loop:\n got  %+v\n want %+v", seed, kind, *got, *want)
+		}
+	}
+	if kinds[3] == 0 || kinds[4] == 0 {
+		t.Fatalf("degenerate kind mix %v", kinds)
 	}
 }
 

@@ -42,25 +42,28 @@ func (p Platform) String() string {
 	}
 }
 
-// PortRange is an inclusive UDP server port range.
-type PortRange struct {
-	Lo, Hi   uint16
-	Platform Platform
+// portSignatures are the server-port conventions of the four platforms the
+// paper's filter covers, as inclusive UDP port ranges. GeForce NOW's
+// 49003–49006 and PS Remote/Cloud streaming's 9295–9304 are published; the
+// Xbox and Luna ranges follow the deployments observed in prior measurement
+// work.
+var portSignatures = [...]struct {
+	lo, hi   uint16
+	platform Platform
+}{
+	{49003, 49006, GeForceNOW},
+	{9002, 9006, XboxCloud},
+	{9988, 9999, AmazonLuna},
+	{9295, 9304, PSCloudStreaming},
 }
 
-// DefaultPortSignatures returns the server-port conventions of the four
-// platforms the paper's filter covers. GeForce NOW's 49003–49006 and PS
-// Remote/Cloud streaming's 9295–9304 are published; the Xbox and Luna
-// ranges follow the deployments observed in prior measurement work and are
-// configurable.
-func DefaultPortSignatures() []PortRange {
-	return []PortRange{
-		{49003, 49006, GeForceNOW},
-		{9002, 9006, XboxCloud},
-		{9988, 9999, AmazonLuna},
-		{9295, 9304, PSCloudStreaming},
-	}
-}
+// The streaming signature a flow must meet once MinDownPkts of evidence is
+// in (§4.1).
+const (
+	minDownMbps     = 1.5 // sustained downstream rate
+	minMeanPayload  = 700 // mean downstream payload, bytes: video rides near the MTU
+	minRTPValidFrac = 0.9 // share of downstream payloads that parse as RTP
+)
 
 // State is a flow's classification status.
 type State int
@@ -87,20 +90,10 @@ func (s State) String() string {
 	}
 }
 
-// Config tunes the detector thresholds.
+// Config tunes the detector.
 type Config struct {
-	// Ports are the platform port signatures (DefaultPortSignatures when nil).
-	Ports []PortRange
 	// MinDownPkts is the evidence needed before a verdict (default 200).
 	MinDownPkts int
-	// MinDownMbps is the minimum sustained downstream rate (default 1.5).
-	MinDownMbps float64
-	// MinMeanPayload is the minimum mean downstream payload in bytes
-	// (default 700; video flows ride near the MTU).
-	MinMeanPayload float64
-	// MinRTPValidFrac is the minimum fraction of downstream payloads that
-	// parse as RTP (default 0.9).
-	MinRTPValidFrac float64
 	// RequireKnownPort restricts Gaming verdicts to flows on known
 	// platform ports (default false: unknown-port flows that otherwise
 	// match are reported as PlatformUnknown).
@@ -108,20 +101,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Ports == nil {
-		c.Ports = DefaultPortSignatures()
-	}
 	if c.MinDownPkts <= 0 {
 		c.MinDownPkts = 200
-	}
-	if c.MinDownMbps <= 0 {
-		c.MinDownMbps = 1.5
-	}
-	if c.MinMeanPayload <= 0 {
-		c.MinMeanPayload = 700
-	}
-	if c.MinRTPValidFrac <= 0 {
-		c.MinRTPValidFrac = 0.9
 	}
 	return c
 }
@@ -192,10 +173,10 @@ func NewTable[S any](cfg Config) *Table[S] {
 }
 
 // platformFor maps a server port to its platform.
-func (d *Table[S]) platformFor(port uint16) Platform {
-	for _, r := range d.cfg.Ports {
-		if port >= r.Lo && port <= r.Hi {
-			return r.Platform
+func platformFor(port uint16) Platform {
+	for _, r := range portSignatures {
+		if port >= r.lo && port <= r.hi {
+			return r.platform
 		}
 	}
 	return PlatformUnknown
@@ -205,10 +186,10 @@ func (d *Table[S]) platformFor(port uint16) Platform {
 // like the server: the port matching a platform signature (the frame's
 // source first), else the numerically smaller port.
 func (d *Table[S]) knownServerPort(src, dst uint16) uint16 {
-	if d.platformFor(src) != PlatformUnknown {
+	if platformFor(src) != PlatformUnknown {
 		return src
 	}
-	if d.platformFor(dst) != PlatformUnknown {
+	if platformFor(dst) != PlatformUnknown {
 		return dst
 	}
 	if src < dst {
@@ -273,14 +254,14 @@ func (d *Table[S]) Attach(key packet.FlowKey, sess *S) {
 
 // judge applies the signature once enough downstream evidence exists.
 func (d *Table[S]) judge(f *Flow) {
-	plat := d.platformFor(f.ServerPort)
+	plat := platformFor(f.ServerPort)
 	if d.cfg.RequireKnownPort && plat == PlatformUnknown {
 		f.State = Rejected
 		return
 	}
-	if f.MeanDownPayload() < d.cfg.MinMeanPayload ||
-		f.DownMbps() < d.cfg.MinDownMbps ||
-		float64(f.RTPValid)/float64(f.RTPSeen) < d.cfg.MinRTPValidFrac {
+	if f.MeanDownPayload() < minMeanPayload ||
+		f.DownMbps() < minDownMbps ||
+		float64(f.RTPValid)/float64(f.RTPSeen) < minRTPValidFrac {
 		f.State = Rejected
 		return
 	}

@@ -76,8 +76,7 @@ func TestPlatformPortMapping(t *testing.T) {
 		{9002, XboxCloud}, {9999, AmazonLuna}, {9296, PSCloudStreaming},
 		{8080, PlatformUnknown},
 	} {
-		d := New(Config{})
-		if got := d.platformFor(tc.port); got != tc.want {
+		if got := platformFor(tc.port); got != tc.want {
 			t.Errorf("port %d -> %v, want %v", tc.port, got, tc.want)
 		}
 	}

@@ -158,23 +158,11 @@ func Effective(q SlotQoS, ctx Context) Level {
 	return Medium
 }
 
-// SessionLevel reduces per-slot levels to the session's overall grade: the
-// majority label, as the paper reports per-session QoE (§5.3).
-func SessionLevel(levels []Level) Level {
-	var counts [NumLevels]int64
-	for _, l := range levels {
-		if int(l) < NumLevels {
-			counts[l]++
-		}
-	}
-	return SessionLevelFromCounts(counts)
-}
-
-// SessionLevelFromCounts is SessionLevel over an already-accumulated
-// per-level histogram — the fixed-size form the pipeline keeps per flow so
-// a session of any length grades in O(1) memory. Ties resolve exactly as
-// SessionLevel always has: Good seeds the scan and another level must
-// strictly outnumber the running winner to displace it.
+// SessionLevelFromCounts reduces a per-slot level histogram to the session's
+// overall grade: the majority level, as the paper reports per-session QoE
+// (§5.3). The histogram is the fixed-size form kept per session, so a
+// session of any length grades in O(1) memory. Ties: Good seeds the scan and
+// another level must strictly outnumber the running winner to displace it.
 func SessionLevelFromCounts(counts [NumLevels]int64) Level {
 	best := Good
 	for l := Level(0); int(l) < NumLevels; l++ {
@@ -205,18 +193,6 @@ func SessionScoreFromCounts(counts [NumLevels]int64) float64 {
 		return 1
 	}
 	return float64(weighted) / float64(total*int64(NumLevels-1))
-}
-
-// SessionScore is SessionScoreFromCounts over a per-slot level slice
-// (out-of-range levels are skipped, as in SessionLevel).
-func SessionScore(levels []Level) float64 {
-	var counts [NumLevels]int64
-	for _, l := range levels {
-		if l >= 0 && int(l) < NumLevels {
-			counts[l]++
-		}
-	}
-	return SessionScoreFromCounts(counts)
 }
 
 // EstimateSessionQoS derives the per-I-slot QoS series of a generated
@@ -266,16 +242,14 @@ func EstimateSessionQoS(s *gamesim.Session, i time.Duration) []SlotQoS {
 // The pipeline's online path grades with *classified* contexts instead; this
 // helper is the ground-truth reference used by experiments.
 func GradeSession(s *gamesim.Session, i time.Duration) (objective, effective Level) {
-	qos := EstimateSessionQoS(s, i)
-	obj := make([]Level, len(qos))
-	eff := make([]Level, len(qos))
-	for k, q := range qos {
+	var obj, eff [NumLevels]int64
+	for k, q := range EstimateSessionQoS(s, i) {
 		st := trace.StageAt(s.Spans, time.Duration(k)*i)
-		obj[k] = Objective(q)
-		eff[k] = Effective(q, Context{
+		obj[Objective(q)]++
+		eff[Effective(q, Context{
 			Demand: s.Title.Demand, Stage: st,
 			SettingsMbps: s.PeakDownMbps, SettingsFPS: float64(s.Config.FPS),
-		})
+		})]++
 	}
-	return SessionLevel(obj), SessionLevel(eff)
+	return SessionLevelFromCounts(obj), SessionLevelFromCounts(eff)
 }

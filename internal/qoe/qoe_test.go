@@ -90,15 +90,22 @@ func TestEffectiveNeverWorseThanObjectiveOnThroughput(t *testing.T) {
 	}
 }
 
+// hist counts per-slot levels into the histogram form sessions keep.
+func hist(levels ...Level) (counts [NumLevels]int64) {
+	for _, l := range levels {
+		counts[l]++
+	}
+	return counts
+}
+
 func TestSessionLevelMajority(t *testing.T) {
-	levels := []Level{Good, Good, Bad, Medium, Good}
-	if l := SessionLevel(levels); l != Good {
+	if l := SessionLevelFromCounts(hist(Good, Good, Bad, Medium, Good)); l != Good {
 		t.Errorf("majority = %v", l)
 	}
-	if l := SessionLevel([]Level{Bad, Bad, Good}); l != Bad {
+	if l := SessionLevelFromCounts(hist(Bad, Bad, Good)); l != Bad {
 		t.Errorf("majority = %v", l)
 	}
-	if l := SessionLevel(nil); l != Good {
+	if l := SessionLevelFromCounts(hist()); l != Good {
 		t.Errorf("empty session = %v, want good (benefit of the doubt)", l)
 	}
 }
@@ -107,30 +114,24 @@ func TestSessionLevelMajority(t *testing.T) {
 // level on the [0, 1] scale, with the same empty-session convention as the
 // majority grade.
 func TestSessionScore(t *testing.T) {
-	if s := SessionScore([]Level{Good, Good, Good}); s != 1 {
+	if s := SessionScoreFromCounts(hist(Good, Good, Good)); s != 1 {
 		t.Errorf("all-good score = %v, want 1", s)
 	}
-	if s := SessionScore([]Level{Bad, Bad}); s != 0 {
+	if s := SessionScoreFromCounts(hist(Bad, Bad)); s != 0 {
 		t.Errorf("all-bad score = %v, want 0", s)
 	}
 	// Two sessions that both grade Medium by majority but differ in score:
 	// the proxy preserves the mix the majority vote collapses.
-	if s := SessionScore([]Level{Medium, Medium, Bad}); s != 1.0/3 {
+	if s := SessionScoreFromCounts(hist(Medium, Medium, Bad)); s != 1.0/3 {
 		t.Errorf("medium-leaning-bad score = %v, want 1/3", s)
 	}
-	if s := SessionScore([]Level{Medium, Medium, Good}); s != 2.0/3 {
+	if s := SessionScoreFromCounts(hist(Medium, Medium, Good)); s != 2.0/3 {
 		t.Errorf("medium-leaning-good score = %v, want 2/3", s)
 	}
-	if s := SessionScore(nil); s != 1 {
-		t.Errorf("empty session score = %v, want 1 (matching SessionLevel's Good)", s)
+	if s := SessionScoreFromCounts(hist()); s != 1 {
+		t.Errorf("empty session score = %v, want 1 (matching the majority grade's Good)", s)
 	}
-	// Out-of-range levels are skipped, not counted.
-	if s := SessionScore([]Level{Good, Level(99), Level(-1)}); s != 1 {
-		t.Errorf("score with junk levels = %v, want 1", s)
-	}
-	var counts [NumLevels]int64
-	counts[Bad], counts[Good] = 1, 1
-	if s := SessionScoreFromCounts(counts); s != 0.5 {
+	if s := SessionScoreFromCounts(hist(Bad, Good)); s != 0.5 {
 		t.Errorf("histogram score = %v, want 0.5", s)
 	}
 }

@@ -30,12 +30,10 @@
 // document tree, nothing is reflected over. The bytes are exactly those
 // encoding/json wrote for checkpointJSON (format gamelens-rollup-v3 did not
 // move; the differential tests and FuzzRestoreReencode hold the encoder to
-// the reflection one, which survives in encode_test.go). One case cannot be
-// written in place: the same address resident in two views (subscribers are
-// hash-routed to one shard, but Shard(i).Observe can bypass the routing),
-// whose buckets must be summed first. The sorted walk sees the duplicate
-// before anything is encoded, and that snapshot alone goes through the
-// Merged() fold — a choice made from the data, not a setting.
+// the reflection one, which survives in encode_test.go). Writing in place
+// rests on one invariant: no address is resident in two views (a Sharded
+// hash-routes each subscriber to one shard, and nothing reaches a shard but
+// through that route). The sorted walk checks it before anything is encoded.
 //
 // Reading is persist's footed-file reader (ReadFooted for Restore's stream,
 // LoadFooted for LoadFile and the recovery scan) decoding into checkpointJSON,
@@ -45,7 +43,6 @@ package rollup
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -96,11 +93,6 @@ func (r *Rollup) Snapshot(w io.Writer) error {
 	return snapshotViews(w, []*Rollup{r})
 }
 
-// errSplitSubscriber is snapshotViews' refusal: one address is resident in
-// two views, so its buckets would have to be summed before they could be
-// written. Sharded.Snapshot answers it with the Merged() fold.
-var errSplitSubscriber = errors.New("rollup: subscriber resident in two views")
-
 // subRef is one subscriber of one view, referenced in place.
 type subRef struct {
 	addr netip.Addr
@@ -114,7 +106,7 @@ type subRef struct {
 // write), so the document is one cut across all of them: its clock is the
 // newest view clock, its counters the sums, and every bucket is judged live
 // against that one clock, exactly the state Merged() would have built. On
-// any error, errSplitSubscriber included, nothing has been written to w.
+// any error nothing has been written to w.
 func snapshotViews(w io.Writer, views []*Rollup) error {
 	return persist.WriteFooted(w, func(dst []byte) ([]byte, error) {
 		for _, v := range views {
@@ -164,7 +156,7 @@ func snapshotViews(w io.Writer, views []*Rollup) error {
 		slices.SortFunc(refs, func(a, b subRef) int { return a.addr.Compare(b.addr) })
 		for i := 1; i < len(refs); i++ {
 			if refs[i].addr == refs[i-1].addr {
-				return dst, errSplitSubscriber
+				return dst, fmt.Errorf("rollup: snapshot: subscriber %v resident in two views", refs[i].addr)
 			}
 		}
 

@@ -18,13 +18,11 @@
 // snapshotViews (checkpoint.go) locks every shard in index order, encodes
 // in place, and unlocks — one cut across all shards, no Counts.Clone.
 // Merged() remains for callers that query the view (classify's dashboard,
-// rollupmerge) and as Snapshot's fallback when an address turns up in two
-// shards.
+// rollupmerge).
 
 package rollup
 
 import (
-	"errors"
 	"io"
 	"net/netip"
 	"time"
@@ -68,10 +66,6 @@ func ShardedFrom(r *Rollup) *Sharded {
 
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Shard returns shard i for direct inspection (its own Stats, Subscribers,
-// Snapshot). The returned Rollup is live — it keeps ingesting.
-func (s *Sharded) Shard(i int) *Rollup { return s.shards[i] }
 
 // Config returns the shared window geometry.
 func (s *Sharded) Config() Config { return s.shards[0].Config() }
@@ -184,16 +178,7 @@ func (s *Sharded) Merged() (*Rollup, error) {
 // same bytes a single-rollup run of the same entries would write, so
 // sharded and unsharded monitors' checkpoints interoperate (Restore,
 // rollupmerge) with no format distinction. The shards are written in place
-// under all their locks (see the file comment); only a window holding one
-// address in two shards is folded through Merged() first.
+// under all their locks (see the file comment).
 func (s *Sharded) Snapshot(w io.Writer) error {
-	err := snapshotViews(w, s.shards)
-	if !errors.Is(err, errSplitSubscriber) {
-		return err
-	}
-	m, err := s.Merged()
-	if err != nil {
-		return err
-	}
-	return m.Snapshot(w)
+	return snapshotViews(w, s.shards)
 }
