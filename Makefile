@@ -51,13 +51,15 @@ race:
 # The steady-state allocation pins, run without -race (the race build
 # allocates on paths the production build does not, so the counts are only
 # meaningful plain). Every pinned path — Tracker.Push,
-# StageFeatureExtractor.Push, Forest.PredictProbaInto, Rollup.Observe
-# (percentile sketch insertion included), Sketch.Add/Merge, packet.Summarize
-# (accepting and rejecting), and a shard's steady-state consume of one
-# batch — must measure 0 allocs/op; TestSnapshotAllocs pins the window
-# checkpoint at the same count for a 40- and a 400-subscriber window.
+# StageFeatureExtractor.Push, a warm launch window (LaunchAccumulator.Add,
+# the slot closes it triggers and Finish) and the whole title decision over
+# it, Forest.PredictProbaInto, Rollup.Observe (percentile sketch insertion
+# included), Sketch.Add/Merge, packet.Summarize (accepting and rejecting),
+# and a shard's steady-state consume of one batch — must measure 0
+# allocs/op; TestSnapshotAllocs pins the window checkpoint at the same count
+# for a 40- and a 400-subscriber window.
 allocgate:
-	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/packet ./internal/engine
+	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/titleclass ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/packet ./internal/engine
 
 # The report-path allocation pins, same plain-build rule as allocgate: one
 # full emitter drain — shard report rings → Sink + BatchSink → sharded
@@ -73,16 +75,23 @@ sinkgate:
 # this step lets the mutator look past the seeds. FuzzSummarize: the ingest
 # parser errs iff packet.Decode errs, and otherwise yields the summary the
 # decode derives (seeds: every frame shape cut at every length).
+# FuzzLaunchAccumulator: the streaming launch window, fed capture timestamps
+# and payload lengths — negative, huge and regressing ones included — never
+# panics, holds memory bounded by the packet count alone, and equals the
+# batch reference over the packets its reordering contract counts (seeds:
+# orderly, stray-stamped, backwards and slot-hopping launches).
 # FuzzRestoreReencode: whatever checkpoint rollup.Restore accepts snapshots
 # again to the bytes the reflection reference encoder writes, and Restore
 # accepts those (seeds: real snapshots cut and bit-flipped).
 # FuzzPartitionReencode: the same property for the archive's one partition
 # decoder, store.ReadPartitionFile, against encodePartition (seeds: real
-# sealed and compacted partitions cut and bit-flipped). The two loaders'
-# inputs are KB-sized, so the minimizer is capped in executions — left at its
-# 60 s default it spends the whole smoke shrinking the first interesting input.
+# sealed and compacted partitions cut and bit-flipped). The launch window's
+# and the two loaders' inputs are KB-sized, so the minimizer is capped in
+# executions — left at its 60 s default it spends the whole smoke shrinking
+# the first interesting input.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 5s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzLaunchAccumulator$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/features
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup/store
 

@@ -237,17 +237,20 @@
 //     shard forever), the frame parse allocates on neither its accept nor
 //     its reject path, a packet finds its flow's detector record and
 //     session in one map lookup, the pipeline's slot accounting mutates
-//     fixed per-flow state, and launch buffering appends into buffers
-//     recycled from previously decided flows.
+//     fixed per-flow state, and a launch-window packet lands in one of its
+//     flow's two open attribute-slot buffers (features.LaunchAccumulator:
+//     the window is streamed slot by slot, never buffered whole), warm
+//     once an accumulator has been through one flow.
 //   - Per closed slot: nothing. stageclass.Tracker.Push runs the feature
 //     extractor, the stage forest, the transition matrix and the pattern
 //     forest entirely in tracker-owned scratch; QoE levels accumulate into
 //     fixed-size per-flow histograms. Pinned at 0 allocs/op by the
 //     allocgate tests (`make check`).
 //   - Per flow: session construction (tracker + scratch) at first packet,
-//     and one title decision per flow (feature bucketing state is pooled
-//     package-wide; the classification itself runs in pipeline-owned
-//     scratch).
+//     a launch accumulator when the pipeline's small free list is empty
+//     (it goes back there at the title decision, so a decided flow holds
+//     no launch memory), and nothing for the decision itself: slot closes
+//     and the forest run in pipeline-owned scratch.
 //   - Per report: nothing in a streaming deployment. Under StreamOnly the
 //     emitter recycles every delivered SessionReport back to the emitting
 //     shard's pipeline through a reverse ring (the report path above), so

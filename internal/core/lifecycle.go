@@ -114,7 +114,7 @@ func (p *Pipeline) sweep() int {
 // consumer has recycled one (RecycleReport), so a monitor whose sink
 // returns reports after delivery emits with zero steady-state allocation.
 func (p *Pipeline) finalize(fs *FlowSession, evicted bool) *SessionReport {
-	if !fs.TitleDecided && len(fs.launchBuf) > 0 {
+	if fs.launch != nil {
 		p.decideTitle(fs)
 	}
 	r := fs.ReportInto(p.newReport())

@@ -7,6 +7,21 @@
 // (accounting.go), and nothing else in the tree implements it: the packet
 // path below folds packets into slots for it, internal/fleet feeds it
 // simulated slots.
+//
+// The launch window is streamed, not buffered. A new session takes a
+// features.LaunchAccumulator (from the pipeline's free list when it has
+// one) and feed pushes every downstream packet's offset and size into it;
+// upstream packets are never stored. The accumulator holds the samples of
+// at most two attribute slots (T = 1 s each) — it closes slot s when a
+// packet of slot s+2 arrives — so a packet delivered up to one slot width
+// out of order still counts, exactly as if in order, and one later than
+// that (or stamped before the flow's first packet) is ignored by the title
+// decision. The decision is made by the first packet, of either direction,
+// one slot width past the window (6 s into the flow at the deployed N =
+// 5 s), or by eviction or Finish on a shorter flow. Ownership: the
+// accumulator belongs to the session until that decision and to the
+// pipeline's free list (launchFreeMax entries) after it, so a decided flow
+// holds no launch memory and cannot regrow any.
 package core
 
 import (
@@ -88,13 +103,13 @@ type Pipeline struct {
 	// flow, so the config lookups it used to repeat live here instead.
 	vol    features.VolumetricConfig
 	native int // native slots per I-wide tracker slot
-	window time.Duration
 	lagMs  float64
 
-	// titleSc is the title-classification scratch reused across flows, and
-	// launchFree recycles decided flows' launch buffers for later flows.
+	// titleSc is the title-decision scratch every flow's launch
+	// accumulator borrows; launchFree holds up to launchFreeMax decided
+	// flows' accumulators for the next flows adopted (package doc).
 	titleSc    titleclass.Scratch
-	launchFree [][]trace.Pkt
+	launchFree []*features.LaunchAccumulator
 	// reportFree recycles spent SessionReports handed back through
 	// RecycleReport; finalize rewrites them in place via ReportInto.
 	reportFree []*SessionReport
@@ -117,7 +132,6 @@ func New(cfg Config, titles *titleclass.Classifier, stages *stageclass.Classifie
 		lc:     newLifecycle(cfg),
 		vol:    vol,
 		native: native,
-		window: titles.Config().Window,
 		lagMs:  cfg.QoSLag.Seconds() * 1000,
 	}
 }
@@ -139,7 +153,7 @@ type FlowSession struct {
 	// pushes every closed tracker slot through it.
 	Accounting
 
-	launchBuf []trace.Pkt
+	launch    *features.LaunchAccumulator // nil once the title is decided
 	curSlot   trace.Slot
 	slotIdx   int
 	bytesDown int64
@@ -255,9 +269,11 @@ func (p *Pipeline) adopt(f *flowdetect.Flow) *FlowSession {
 			Accounting: NewAccounting(p.stages, p.cfg.LaunchWindow),
 		}
 		if n := len(p.launchFree); n > 0 {
-			fs.launchBuf = p.launchFree[n-1]
-			p.launchFree = p.launchFree[:n-1]
+			fs.launch, p.launchFree = p.launchFree[n-1], p.launchFree[:n-1]
+		} else {
+			fs.launch = new(features.LaunchAccumulator)
 		}
+		p.titles.Begin(fs.launch, &p.titleSc)
 		p.flows[f.Key] = fs
 		p.lc.created++
 	}
@@ -273,13 +289,17 @@ func (p *Pipeline) feed(fs *FlowSession, ts time.Time, s *packet.Summary) {
 		dir = trace.Down
 		fs.bytesDown += int64(s.PayloadLen)
 	}
-	rec := trace.Pkt{T: offset, Dir: dir, Size: s.PayloadLen}
 
-	// Launch buffer for title classification.
-	if offset < p.window+time.Second {
-		fs.launchBuf = append(fs.launchBuf, rec)
-	} else if !fs.TitleDecided {
-		p.decideTitle(fs)
+	// Launch window: downstream packets stream into the accumulator until
+	// a packet of either direction is past the window by its reordering
+	// horizon. A decided flow has no accumulator, so a straggler stamped
+	// back inside the window touches nothing.
+	if acc := fs.launch; acc != nil {
+		if acc.Done(offset) {
+			p.decideTitle(fs)
+		} else if dir == trace.Down {
+			acc.Add(offset, s.PayloadLen)
+		}
 	}
 
 	// Native-slot aggregation; closed slots go to the stage tracker.
@@ -292,28 +312,22 @@ func (p *Pipeline) feed(fs *FlowSession, ts time.Time, s *packet.Summary) {
 	}
 }
 
-// decideTitle runs the title classifier once over the buffered launch
-// window, then recycles the launch buffer for a later flow. feed appends in
-// timestamp order per flow, so the buffer is normally already sorted and
-// the sort is skipped; a multi-queue tap that delivers one flow's packets
-// out of order still gets the full sort.
-func (p *Pipeline) decideTitle(fs *FlowSession) {
-	buf := fs.launchBuf
-	if !sort.SliceIsSorted(buf, func(i, j int) bool { return buf[i].T < buf[j].T }) {
-		sort.Slice(buf, func(i, j int) bool { return buf[i].T < buf[j].T })
-	}
-	fs.Title = p.titles.ClassifyWith(buf, &p.titleSc)
-	fs.TitleDecided = true
-	p.recycleLaunch(fs)
-}
+// launchFreeMax caps the accumulators a pipeline keeps for reuse. Flow
+// births and title decisions interleave, so a couple serve a tap however
+// many flows it tracks (a miss costs one accumulator's buffer growth); past
+// it the garbage collector takes over.
+const launchFreeMax = 2
 
-// recycleLaunch returns a session's launch buffer to the pipeline's free
-// list (bounded — beyond that the garbage collector takes over).
-func (p *Pipeline) recycleLaunch(fs *FlowSession) {
-	if cap(fs.launchBuf) > 0 && len(p.launchFree) < 32 {
-		p.launchFree = append(p.launchFree, fs.launchBuf[:0])
+// decideTitle finishes the flow's launch window — at its end, or earlier
+// when eviction or Finish forces it — classifies the title, and hands the
+// accumulator to the free list.
+func (p *Pipeline) decideTitle(fs *FlowSession) {
+	fs.Title = p.titles.Decide(fs.launch, &p.titleSc)
+	fs.TitleDecided = true
+	if len(p.launchFree) < launchFreeMax {
+		p.launchFree = append(p.launchFree, fs.launch)
 	}
-	fs.launchBuf = nil
+	fs.launch = nil
 }
 
 // closeSlot finalizes the current native slot and advances.

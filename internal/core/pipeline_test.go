@@ -248,38 +248,6 @@ func TestEstimateFrameRateBoundarySlots(t *testing.T) {
 	}
 }
 
-// TestDecideTitleOutOfOrderLaunch keeps the sorted-fast-path honest: feed
-// normally appends launch packets in nondecreasing offset order, so
-// decideTitle skips its sort — but a multi-queue tap can hand one flow's
-// packets over out of order, and then the fallback sort must still produce
-// exactly the classification of the in-order launch.
-func TestDecideTitleOutOfOrderLaunch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains models")
-	}
-	tm, sm := models(t)
-	p := New(Config{}, tm, sm)
-	s := gamesim.Generate(gamesim.Fortnite,
-		gamesim.ClientConfig{Resolution: gamesim.ResQHD, FPS: 60},
-		gamesim.LabNetwork(), 911, gamesim.Options{SessionLength: 3 * time.Minute})
-	want := tm.Classify(s.Launch)
-
-	inOrder := &FlowSession{launchBuf: append([]trace.Pkt(nil), s.Launch...)}
-	p.decideTitle(inOrder)
-	if inOrder.Title != want {
-		t.Fatalf("in-order launch classified %v, want %v", inOrder.Title, want)
-	}
-
-	shuffled := append([]trace.Pkt(nil), s.Launch...)
-	rng := rand.New(rand.NewSource(17))
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	outOfOrder := &FlowSession{launchBuf: shuffled}
-	p.decideTitle(outOfOrder)
-	if outOfOrder.Title != want {
-		t.Fatalf("out-of-order launch classified %v, want %v (sort fallback broken)", outOfOrder.Title, want)
-	}
-}
-
 func TestEstimateFrameRate(t *testing.T) {
 	// A 60 fps QHD-class stream: ~2700 pkts/s at ~1250 B.
 	slot := trace.Slot{DownPkts: 2700, DownBytes: 2700 * 1250}

@@ -341,8 +341,8 @@ type shard struct {
 	counts    atomic.Pointer[shardCounts]
 	processed paddedInt64 // worker-written; padded away from producer-written effBatch
 	// effBatch mirrors the adaptive batch threshold of whichever producer
-	// last routed traffic here, for Stats.ShardBatch. Producer-written, so
-	// it sits on its own line away from the worker's counters.
+	// last filled a batch for this shard, for Stats.ShardBatch. Producer-
+	// written, so it sits on its own line away from the worker's counters.
 	_        [56]byte
 	effBatch atomic.Int64
 	_        [56]byte

@@ -34,8 +34,8 @@ func newQueue(depth int) *queue {
 type pair struct {
 	q       *queue
 	pending batch
-	lastTS  time.Time
-	ewmaGap float64 // seconds between packets, exponentially smoothed
+	lastNs  int64 // newest packet timestamp routed here, Unix ns; 0 before the first
+	gapNs   int64 // ns between packets on this lane, exponentially smoothed
 }
 
 // Producer is one ingest goroutine's handle into the engine. Each producer
@@ -148,62 +148,56 @@ func (p *Producer) enqueue(si int, ts time.Time, s *packet.Summary) {
 		*b = pr.newBatch(p.e.cfg.BatchSize)
 	}
 	b.entries = append(b.entries, entry{ts: ts, sum: *s})
-	if len(b.entries) >= p.threshold(si, ts) {
-		p.flushShard(si)
+	n, limit := len(b.entries), p.e.cfg.BatchSize
+	if budget := int64(p.e.cfg.FlushLatency); budget > 0 {
+		pr.observe(ts.UnixNano())
+		// The batch is full at budget / mean-gap packets, clamped to
+		// [1, BatchSize]. n reaches ⌊budget/gap⌋ exactly when (n+1)·gap
+		// exceeds the budget, so the per-packet test is a multiply and the
+		// divide waits for the flush, where the threshold is mirrored into
+		// the shard's effBatch for Stats.
+		if n < limit && int64(n+1)*pr.gapNs <= budget {
+			return
+		}
+		eff := int64(limit)
+		if pr.gapNs > 0 {
+			eff = max(1, min(eff, budget/pr.gapNs))
+		}
+		if sh := p.e.shards[si]; sh.effBatch.Load() != eff {
+			sh.effBatch.Store(eff) // only when it moved: a store is an atomic exchange
+		}
+	} else if n < limit {
+		return
 	}
+	p.flushShard(si)
 }
 
-// threshold folds ts into shard si's pair inter-arrival estimate and
-// returns the batch size that keeps batching latency near
-// Config.FlushLatency (see adaptBatch); Config.BatchSize when adaptation is
-// disabled.
-func (p *Producer) threshold(si int, ts time.Time) int {
-	if p.e.cfg.FlushLatency <= 0 {
-		return p.e.cfg.BatchSize
+// observe folds one packet timestamp into the lane's inter-arrival
+// estimate, the quantity adaptive batching keeps batching latency near
+// Config.FlushLatency with: an EWMA of the gap between consecutive packets
+// (α = 1/20, so it smooths over ~20 packets; integer nanoseconds, so it
+// settles to within 20 ns). Each producer tracks its own estimate per
+// shard — its lane is the thing being batched. Timestamps can regress
+// across flows; negative gaps are ignored, and gaps are capped at one
+// second before smoothing — any sustained gap that long already means
+// "flush immediately" (budget/1s < 1 packet), and the cap keeps a single
+// long idle period from dominating the estimate once traffic resumes.
+func (pr *pair) observe(now int64) {
+	if pr.lastNs == 0 {
+		pr.lastNs = now
+		return
 	}
-	return int(p.pairs[si].adaptBatch(ts, p.e.cfg.FlushLatency, p.e.cfg.BatchSize, p.e.shards[si]))
-}
-
-// adaptBatch updates the pair's inter-arrival estimate from one packet
-// timestamp and returns the batch threshold that keeps batching latency
-// near budget: threshold ≈ budget / mean-gap, clamped to [1, max]. Each
-// producer tracks its own estimate per shard (its lane is the thing being
-// batched); the result is mirrored into the shard's effBatch for Stats.
-// Timestamps can regress across flows; negative gaps are ignored, and gaps
-// are capped at one second before smoothing — any sustained gap that long
-// already means "flush immediately" (budget/1s < 1 packet), and the cap
-// keeps a single long idle period from dominating the estimate once
-// traffic resumes.
-func (pr *pair) adaptBatch(ts time.Time, budget time.Duration, max int, s *shard) int64 {
-	if !pr.lastTS.IsZero() {
-		if gap := ts.Sub(pr.lastTS).Seconds(); gap >= 0 {
-			if gap > 1 {
-				gap = 1
-			}
-			const alpha = 0.05 // smooth over ~20 packets
-			if pr.ewmaGap == 0 {
-				pr.ewmaGap = gap
-			} else {
-				pr.ewmaGap += alpha * (gap - pr.ewmaGap)
-			}
-		}
+	gap := now - pr.lastNs
+	if gap < 0 {
+		return
 	}
-	if ts.After(pr.lastTS) {
-		pr.lastTS = ts
+	pr.lastNs = now
+	gap = min(gap, int64(time.Second))
+	if pr.gapNs == 0 {
+		pr.gapNs = gap
+	} else {
+		pr.gapNs += (gap - pr.gapNs) / 20
 	}
-	eff := int64(max)
-	if pr.ewmaGap > 0 {
-		if n := int64(budget.Seconds() / pr.ewmaGap); n < eff {
-			eff = n
-		}
-		if eff < 1 {
-			eff = 1
-		}
-	}
-	if s.effBatch.Load() != eff {
-		s.effBatch.Store(eff) // only when it moved: a store per packet is an atomic exchange per packet
-	}
-	return eff
 }
 
 // newBatch recycles a drained batch from the lane's free ring or allocates

@@ -62,9 +62,8 @@ func TestStageFeatureExtractorPushBorrow(t *testing.T) {
 	}
 }
 
-// TestLaunchAttributesIntoMatches pins that the pooled in-place form
-// computes exactly what the allocating form does, across repeated reuses of
-// the same scratch.
+// TestLaunchAttributesIntoMatches pins that the in-place form computes
+// exactly what the allocating form does, call after call into the same dst.
 func TestLaunchAttributesIntoMatches(t *testing.T) {
 	pktsA := launchPkts(1400, 900, 0)
 	pktsB := launchPkts(900, 420, 3)
@@ -77,7 +76,7 @@ func TestLaunchAttributesIntoMatches(t *testing.T) {
 				t.Fatalf("run %d attr %d: %v != %v", run, i, got[i], want[i])
 			}
 		}
-		// Interleave a different window so the pooled buckets must reset.
+		// Interleave a different window: nothing may carry over.
 		LaunchAttributesInto(acc[:], pktsB, 5*time.Second, time.Second, DefaultGroupConfig())
 	}
 }

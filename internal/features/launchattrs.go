@@ -3,8 +3,8 @@ package features
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"math/bits"
+	"slices"
 	"time"
 
 	"gamelens/internal/trace"
@@ -41,88 +41,171 @@ func LaunchAttrNames() []string {
 // and the per-slot vectors are averaged over the ceil(window/slotT) slots of
 // the window. Slots where a group is absent contribute zeros for that
 // group, which is itself a signature (a launch segment without sparse
-// packets is informative).
+// packets is informative). pkts must be sorted by time.
 func LaunchAttributes(pkts []trace.Pkt, window, slotT time.Duration, cfg GroupConfig) []float64 {
 	return LaunchAttributesInto(make([]float64, NumLaunchAttrs), pkts, window, slotT, cfg)
 }
 
-// launchScratch is the reusable working state of one LaunchAttributes
-// computation: the labeled downstream packets, the per-slot per-group
-// buckets (slot-indexed — the launch window has a fixed, small slot count,
-// so a slice beats the map it replaced), and the per-group sample buffers.
-// Instances cycle through a package pool so concurrent classifiers (one
-// pipeline per engine shard) each borrow one without allocating per call.
-type launchScratch struct {
-	labeled     []LabeledPkt
-	nonFull     []int
-	bySlot      [][3][]LabeledPkt
-	sizes, iats []float64
+// LaunchAttributesInto computes the 51-attribute vector into acc (length
+// NumLaunchAttrs, overwritten) and returns acc: the batch form of
+// LaunchAccumulator, which it feeds pkts in order and finishes.
+func LaunchAttributesInto(acc []float64, pkts []trace.Pkt, window, slotT time.Duration, cfg GroupConfig) []float64 {
+	var a LaunchAccumulator
+	var sc LaunchScratch
+	a.Reset(window, slotT, cfg, &sc)
+	a.AddPkts(pkts)
+	return a.Finish(acc)
 }
 
-var launchPool = sync.Pool{New: func() any { return new(launchScratch) }}
+// LaunchScratch is the working memory closing one slot needs — the
+// neighbour vote's index list and one group's size and inter-arrival
+// samples. Slots close one at a time, so every accumulator of one
+// goroutine shares one (a pipeline keeps a single LaunchScratch however
+// many flows are inside their launch window). The zero value is ready.
+type LaunchScratch struct {
+	idx  []int
+	vals []float64
+}
 
-// LaunchAttributesInto computes the 51-attribute vector into acc (length
-// NumLaunchAttrs, zeroed here) and returns acc. All intermediate bucketing
-// state comes from the package pool, so per-call garbage is limited to
-// slice growth the pool has not yet warmed to.
-func LaunchAttributesInto(acc []float64, pkts []trace.Pkt, window, slotT time.Duration, cfg GroupConfig) []float64 {
-	sc := launchPool.Get().(*launchScratch)
-	defer launchPool.Put(sc)
-	sc.labeled = labelGroupsInto(sc.labeled, &sc.nonFull, pkts, slotT, cfg)
-	nSlots := int((window + slotT - 1) / slotT)
-	if nSlots < 1 {
-		nSlots = 1
+// reserve sizes the scratch for a slot of n packets, with headroom so a
+// run of slightly larger slots does not regrow it every time.
+func (sc *LaunchScratch) reserve(n int) {
+	if cap(sc.idx) < n {
+		n += n / 4
+		sc.idx, sc.vals = make([]int, n), make([]float64, 2*n)
 	}
-	for i := range acc {
-		acc[i] = 0
-	}
+}
 
-	// Collect per-slot, per-group size and inter-arrival samples into the
-	// slot-indexed buckets (every labeled packet with T < window lands in
-	// slot T/slotT < ceil(window/slotT) = nSlots).
-	if cap(sc.bySlot) < nSlots {
-		sc.bySlot = append(sc.bySlot[:cap(sc.bySlot)], make([][3][]LabeledPkt, nSlots-cap(sc.bySlot))...)
+// LaunchAccumulator computes the launch attribute vector incrementally
+// (the package doc has the mechanism): Add takes the downstream packets as
+// they arrive, only the two newest attribute slots hold samples, and
+// Finish closes what is still open and scales by 1/slots.
+//
+// A packet that arrives after packets up to one slot width newer still
+// finds its slot open and is inserted in time order, so the result is that
+// of the sorted sequence (packets sharing a timestamp keep arrival order).
+// A packet later than that, before the flow's first packet (T < 0) or past
+// the window is ignored. When slotT does not divide window, packets
+// between window and the end of the last slot still vote as neighbours in
+// that slot but are not counted — what training on whole captures does.
+//
+// An accumulator is owned by one goroutine; Reset readies it (again) for
+// one flow. The zero value must be Reset before use.
+type LaunchAccumulator struct {
+	window, slotT time.Duration
+	end           time.Duration // slot-aligned end of the window
+	nSlots        int
+	cfg           GroupConfig
+	sc            *LaunchScratch
+	base          int             // oldest open slot; base and base+1 hold samples
+	slots         [2][]LabeledPkt // slot s lives in slots[s&1], time-sorted
+	sums          [NumLaunchAttrs]float64
+}
+
+// Reset readies the accumulator for one flow's launch window of the given
+// geometry, keeping its sample buffers. It borrows sc until Finish.
+func (a *LaunchAccumulator) Reset(window, slotT time.Duration, cfg GroupConfig, sc *LaunchScratch) {
+	a.window, a.slotT, a.cfg, a.sc = window, slotT, cfg.withDefaults(), sc
+	a.nSlots = int((window + slotT - 1) / slotT)
+	if a.nSlots < 1 {
+		a.nSlots = 1
 	}
-	bySlot := sc.bySlot[:nSlots]
-	for s := range bySlot {
-		for gi := range bySlot[s] {
-			bySlot[s][gi] = bySlot[s][gi][:0]
+	a.end = time.Duration(a.nSlots) * slotT
+	a.base = 0
+	a.slots[0], a.slots[1] = a.slots[0][:0], a.slots[1][:0]
+	a.sums = [NumLaunchAttrs]float64{}
+}
+
+// Done reports whether a packet at flow offset t is past the window by the
+// reordering horizon, so nothing that could still arrive belongs to it:
+// the moment a monitor finishes the accumulator and decides.
+func (a *LaunchAccumulator) Done(t time.Duration) bool { return t >= a.end+a.slotT }
+
+// Add takes one downstream packet at flow offset t.
+//
+//gamelens:noalloc
+func (a *LaunchAccumulator) Add(t time.Duration, size int) {
+	if t < 0 || t >= a.end {
+		return
+	}
+	s := int(t / a.slotT)
+	for s > a.base+1 {
+		a.closeSlot()
+	}
+	if s < a.base {
+		return // later than the reordering horizon: its slot has closed
+	}
+	buf := a.slots[s&1]
+	//gamelens:alloc-ok slot buffer growth; recycled accumulators arrive warm
+	buf = append(buf, LabeledPkt{T: t, Size: int32(size)})
+	for i := len(buf) - 1; i > 0 && buf[i-1].T > t; i-- {
+		buf[i-1], buf[i] = buf[i], buf[i-1]
+	}
+	a.slots[s&1] = buf
+}
+
+// AddPkts adds the downstream packets of pkts in order.
+func (a *LaunchAccumulator) AddPkts(pkts []trace.Pkt) {
+	for _, p := range pkts {
+		if p.Dir == trace.Down {
+			a.Add(p.T, p.Size)
 		}
 	}
-	for _, p := range sc.labeled {
-		if p.T >= window {
-			break
-		}
-		slot := int(p.T / slotT)
-		bySlot[slot][p.Group] = append(bySlot[slot][p.Group], p)
+}
+
+// Finish closes the open slots and writes the attribute vector — the
+// per-slot sums averaged over the window's slots — into dst (length
+// NumLaunchAttrs), which it returns. The accumulator must be Reset before
+// it is used again.
+func (a *LaunchAccumulator) Finish(dst []float64) []float64 {
+	for a.base < a.nSlots {
+		a.closeSlot()
 	}
-	sizes, iats := sc.sizes, sc.iats
-	for slot := 0; slot < nSlots; slot++ {
-		for gi := 0; gi < 3; gi++ {
-			ps := bySlot[slot][gi]
-			base := gi * 17
-			if len(ps) == 0 {
-				continue // zero contribution
+	inv := 1 / float64(a.nSlots)
+	for i, v := range a.sums {
+		dst[i] = v * inv
+	}
+	return dst
+}
+
+// closeSlot folds the oldest open slot into the running sums and frees its
+// buffer for slot base+2.
+func (a *LaunchAccumulator) closeSlot() {
+	buf := a.slots[a.base&1]
+	a.slots[a.base&1] = buf[:0]
+	a.base++
+	if len(buf) == 0 {
+		return
+	}
+	a.sc.reserve(len(buf)) //gamelens:alloc-ok scratch growth; warm after a pipeline's first few slots
+	labelSlot(buf, a.sc.idx, a.cfg)
+	for len(buf) > 0 && buf[len(buf)-1].T >= a.window {
+		buf = buf[:len(buf)-1] // voted above, but outside the window
+	}
+	sizes, iats := a.sc.vals[:len(buf)], a.sc.vals[len(buf):2*len(buf)]
+	for g := GroupFull; g <= GroupSparse; g++ {
+		n := 0
+		var prev time.Duration
+		for i := range buf {
+			p := &buf[i]
+			if p.Group != g {
+				continue
 			}
-			acc[base] += float64(len(ps)) // ct sum
-			sizes = sizes[:0]
-			iats = iats[:0]
-			for i, p := range ps {
-				sizes = append(sizes, float64(p.Size))
-				if i > 0 {
-					iats = append(iats, (p.T - ps[i-1].T).Seconds())
-				}
+			sizes[n] = float64(p.Size)
+			if n > 0 {
+				iats[n-1] = (p.T - prev).Seconds()
 			}
-			writeStats(acc[base+1:base+9], sizes)
-			writeStats(acc[base+9:base+17], iats)
+			prev = p.T
+			n++
 		}
+		if n == 0 {
+			continue // an absent group contributes zeros
+		}
+		at := a.sums[int(g)*17:]
+		at[0] += float64(n) // ct sum
+		writeStats(at[1:9], sizes[:n])
+		writeStats(at[9:17], iats[:n-1])
 	}
-	sc.sizes, sc.iats = sizes, iats
-	inv := 1 / float64(nSlots)
-	for i := range acc {
-		acc[i] *= inv
-	}
-	return acc
 }
 
 // writeStats accumulates the eight representation functions of values into
@@ -162,9 +245,13 @@ func writeStats(dst []float64, values []float64) {
 		skew = m3 / math.Pow(m2, 1.5)
 		kurt = m4/(m2*m2) - 3 // excess kurtosis
 	}
+	med := minV // a constant sample (a slot's full packets) needs no selection
+	if minV != maxV {
+		med = median(values)
+	}
 	dst[0] += sum
 	dst[1] += mean
-	dst[2] += median(values)
+	dst[2] += med
 	dst[3] += minV
 	dst[4] += maxV
 	dst[5] += std
@@ -172,14 +259,60 @@ func writeStats(dst []float64, values []float64) {
 	dst[7] += skew
 }
 
-// median returns the sample median; it reorders values.
+// median returns the sample median by selection — only the middle order
+// statistics are needed, not the sorted sample; it reorders values.
 func median(values []float64) float64 {
-	sort.Float64s(values)
 	n := len(values)
+	hi := selectNth(values, n/2)
 	if n%2 == 1 {
-		return values[n/2]
+		return hi
 	}
-	return (values[n/2-1] + values[n/2]) / 2
+	lo := values[0]
+	for _, v := range values[1 : n/2] {
+		if v > lo {
+			lo = v
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// selectNth reorders v so that v[k] is its k-th smallest value, with
+// nothing larger before it and nothing smaller after, and returns v[k]:
+// quickselect around the middle element, finishing with a sort of what is
+// left if an adversarial order exhausts the partitioning budget (so the
+// worst case stays n log n).
+func selectNth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for budget := 4 * bits.Len(uint(len(v))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(v[lo : hi+1])
+			break
+		}
+		p := v[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < p {
+				i++
+			}
+			for v[j] > p {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return v[k] // between the halves: equal to the pivot
+		}
+	}
+	return v[k]
 }
 
 // NumVolumetricLaunchAttrs returns the size of the baseline flow-volumetric

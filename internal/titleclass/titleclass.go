@@ -138,30 +138,50 @@ func (c *Classifier) Config() Config { return c.cfg }
 // analysis).
 func (c *Classifier) Model() mlkit.Classifier { return c.model }
 
-// Classify reduces the launch packets of one session and predicts its title.
+// Classify reduces the launch packets of one session, sorted by time, and
+// predicts its title.
 func (c *Classifier) Classify(launch []trace.Pkt) Result {
 	var sc Scratch
 	return c.ClassifyWith(launch, &sc)
 }
 
 // Scratch is reusable classification state: the attribute vector and the
-// model probability vector one title decision needs. A long-running caller
+// model probability vector one title decision needs, the slot-closing
+// scratch every launch accumulator begun with it borrows, and the
+// accumulator ClassifyWith itself runs. A long-running caller
 // (core.Pipeline classifies every flow it tracks) keeps one Scratch and
 // reuses it across flows; it must not be shared between goroutines. The
 // zero value is ready to use.
 type Scratch struct {
-	attrs [features.NumLaunchAttrs]float64
-	probs []float64
+	attrs  [features.NumLaunchAttrs]float64
+	probs  []float64
+	launch features.LaunchScratch
+	acc    features.LaunchAccumulator
+}
+
+// Begin readies acc to take one flow's launch window under the
+// classifier's N, T and V; acc borrows sc until Decide. This is the
+// streaming form of the title decision: Begin, acc.Add per downstream
+// packet, Decide.
+func (c *Classifier) Begin(acc *features.LaunchAccumulator, sc *Scratch) {
+	acc.Reset(c.cfg.Window, c.cfg.Slot, c.cfg.Groups, &sc.launch)
+}
+
+// Decide finishes acc's window and predicts the title from its attributes.
+func (c *Classifier) Decide(acc *features.LaunchAccumulator, sc *Scratch) Result {
+	x := acc.Finish(sc.attrs[:])
+	if sc.probs == nil {
+		sc.probs = make([]float64, c.model.NumClasses())
+	}
+	return c.fromProbs(c.model.PredictProbaInto(x, sc.probs))
 }
 
 // ClassifyWith is Classify reusing caller-owned scratch, so the per-flow
 // title decision costs no allocation beyond the classifier's own work.
 func (c *Classifier) ClassifyWith(launch []trace.Pkt, sc *Scratch) Result {
-	x := features.LaunchAttributesInto(sc.attrs[:], launch, c.cfg.Window, c.cfg.Slot, c.cfg.Groups)
-	if sc.probs == nil {
-		sc.probs = make([]float64, c.model.NumClasses())
-	}
-	return c.fromProbs(c.model.PredictProbaInto(x, sc.probs))
+	c.Begin(&sc.acc, sc)
+	sc.acc.AddPkts(launch)
+	return c.Decide(&sc.acc, sc)
 }
 
 // ClassifyVector predicts from a precomputed attribute vector.

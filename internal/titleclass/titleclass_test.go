@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"gamelens/internal/features"
 	"gamelens/internal/gamesim"
 	"gamelens/internal/mlkit"
+	"gamelens/internal/race"
+	"gamelens/internal/trace"
 )
 
 // launchSessions generates n sessions per title with random lab configs,
@@ -188,5 +191,40 @@ func TestClassificationRobustToMildLoss(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(known); acc < 0.85 {
 		t.Errorf("accuracy under 1%% loss = %.3f, want >= 0.85", acc)
+	}
+}
+
+// TestTitleDecisionAllocs pins the whole per-flow title decision — begin an
+// accumulator, stream the launch window into it, decide — at zero
+// allocations on warm scratch, the state a long-running pipeline is in; and
+// the streamed decision is the batch one.
+func TestTitleDecisionAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are only pinned in the plain build")
+	}
+	train := launchSessions(t, 2, 31)
+	c, err := Train(train, Config{Forest: mlkit.ForestConfig{NumTrees: 10, MaxDepth: 8}, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := train[0].Launch
+	var sc Scratch
+	var acc features.LaunchAccumulator
+	var got Result
+	decide := func() {
+		c.Begin(&acc, &sc)
+		for _, p := range launch {
+			if p.Dir == trace.Down {
+				acc.Add(p.T, p.Size)
+			}
+		}
+		got = c.Decide(&acc, &sc)
+	}
+	decide() // warm-up: slot buffers, scratch, probability vector
+	if n := testing.AllocsPerRun(20, decide); n != 0 {
+		t.Fatalf("a warm title decision allocates %.1f/op, want 0", n)
+	}
+	if want := c.Classify(launch); got != want {
+		t.Fatalf("streamed decision %v, batch decision %v", got, want)
 	}
 }
