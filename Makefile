@@ -30,7 +30,8 @@ vet:
 # The project-invariant analyzers (internal/analysis): borrow-escape,
 # no-alloc, wall-clock, deterministic-JSON, and SPSC-affinity checks over
 # every //gamelens: directive in the tree. Zero findings required — an
-# unknown directive key is itself a finding. `make lint` is the inner-loop
+# unknown directive key is itself a finding, and so is a function-level key
+# (borrowed among them) on a type declaration. `make lint` is the inner-loop
 # alias; editors can run the same suite in-place with
 # `go vet -vettool=$$(which gamelensvet) ./...` after `go install
 # ./cmd/gamelensvet`.
@@ -63,10 +64,10 @@ allocgate:
 
 # The report-path allocation pins, same plain-build rule as allocgate: one
 # full emitter drain — shard report rings → Sink + BatchSink → sharded
-# rollup fold → recycle rings — and one Rollup.ObserveBatch fold must both
-# measure 0 allocs/op, so a regression that puts an allocation back on the
-# per-report emission path fails CI by name rather than as a B/op drift in
-# the bench trajectory.
+# rollup fold — and one Rollup.ObserveBatch fold must both measure
+# 0 allocs/op, so what a report costs stays the one struct its finalization
+# allocates: a regression that puts an allocation on the delivery path fails
+# CI by name rather than as a B/op drift in the bench trajectory.
 sinkgate:
 	$(GO) test -run 'TestEmitterDrainAllocs|TestRollupObserveBatchAllocs' -count=1 ./internal/engine ./internal/rollup
 
@@ -85,15 +86,21 @@ sinkgate:
 # accepts those (seeds: real snapshots cut and bit-flipped).
 # FuzzPartitionReencode: the same property for the archive's one partition
 # decoder, store.ReadPartitionFile, against encodePartition (seeds: real
-# sealed and compacted partitions cut and bit-flipped). The launch window's
-# and the two loaders' inputs are KB-sized, so the minimizer is capped in
-# executions — left at its 60 s default it spends the whole smoke shrinking
-# the first interesting input.
+# sealed and compacted partitions cut and bit-flipped). FuzzLoadForest: a
+# model file mlkit.LoadForest accepts for a feature width predicts over a
+# zero vector of that width without hanging or panicking, and saves to a
+# fixed point of load→save (seeds: saved forests cut and bit-flipped, and
+# the hostile table — cycles, negative and out-of-range children, splits
+# past the width, empty trees, leaves without a distribution). The launch
+# window's and the three loaders' inputs are KB-sized, so the minimizer is
+# capped in executions — left at its 60 s default it spends the whole smoke
+# shrinking the first interesting input.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 5s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzLaunchAccumulator$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/features
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup/store
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/mlkit
 
 # The benchmark harness lives in a module of its own (bench/, replacing
 # gamelens with ../), so tier-1 neither builds nor runs it: this is where an

@@ -343,7 +343,7 @@ func evictionStream(b *testing.B) *gamesim.PacketStream {
 // BenchmarkSteadyState drives a long multi-flow capture through the full
 // deployment path — sharded engine → per-shard pipelines → per-shard report
 // rings → emitter → sharded per-subscriber rollup, with TTL eviction
-// streaming recycled reports through the batched sink, fed by one reader
+// streaming reports through the batched sink, fed by one reader
 // through its Producer — and reports ns/pkt, pkts/s, reports/s and (via
 // ReportAllocs) the per-iteration B/op (the per-report emission cost in
 // isolation is BenchmarkEmitterDrain in internal/engine). It rebuilds

@@ -74,7 +74,7 @@
 // never needs geometry flags.
 //
 // At end of run classify also prints the report-path counters — reports
-// emitted and recycled, the emitter queue depth, and (when nonzero) the
+// emitted, the emitter queue depth, and (when nonzero) the
 // supervision counters: sink panics recovered, reports dropped after a
 // sink was poisoned, checkpoint generations written and failed.
 //
@@ -316,8 +316,7 @@ func run(args []string, stdout io.Writer) error {
 		// In streaming mode every report — evicted mid-replay or finalized
 		// by Finish — prints through the sink, in emission order; the
 		// end-of-run loop below is skipped. StreamOnly keeps the engine
-		// from also retaining each report for Finish (spent reports are
-		// recycled to the shard pipelines instead), so memory really is
+		// from also retaining each report for Finish, so memory really is
 		// bounded by concurrently active flows.
 		cfg.Sink = func(rep *gamelens.SessionReport) { printReport(stdout, rep) }
 		cfg.StreamOnly = true
@@ -362,8 +361,8 @@ readLoop:
 	stats := eng.Stats()
 	log.Printf("processed %d frames on %d shards (%d gaming flows, %d evicted by TTL, %d undecodable)",
 		frames, stats.Shards, stats.Flows(), stats.EvictedFlows, stats.DecodeErrors)
-	log.Printf("report path: %d emitted, %d recycled, emitter queue depth %d",
-		stats.EmittedReports, stats.RecycledReports, stats.ReportBacklog)
+	log.Printf("report path: %d emitted, emitter queue depth %d",
+		stats.EmittedReports, stats.ReportBacklog)
 	if stats.SinkPanics > 0 || stats.SinkDropped > 0 {
 		log.Printf("supervision: recovered %d sink panics, dropped %d reports after poisoning",
 			stats.SinkPanics, stats.SinkDropped)

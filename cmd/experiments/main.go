@@ -65,66 +65,18 @@ func main() {
 		return len(wanted) == 0 || wanted[strings.ToLower(id)]
 	}
 
-	emit := func(r *experiments.Result, err error) {
-		if err != nil {
-			log.Fatalf("%v", err)
-		}
-		if r != nil && want(r.ID) {
-			fmt.Println(r)
-		}
-	}
-
 	start := time.Now()
-	emit(experiments.Table1(opts), nil)
-	emit(experiments.Table2(opts), nil)
-	emit(experiments.Figure3(opts), nil)
-	emit(experiments.Figure4(opts), nil)
-	emit(experiments.Figure5(opts), nil)
-
-	needCorpus := len(wanted) == 0
-	for _, id := range []string{"figure 8", "table 3", "figure 9", "figure 10", "table 4",
-		"figure 14", "figure 15", "table 5", "ablations",
-		"figure 11", "figure 12", "figure 13", "field validation"} {
-		if wanted[id] {
-			needCorpus = true
+	in := &experiments.Inputs{Opts: opts, Logf: log.Printf}
+	for _, e := range experiments.All() {
+		if !want(e.ID) {
+			continue
 		}
+		r, err := e.Run(in)
+		if err != nil {
+			log.Fatalf("%s: %v", e.ID, err)
+		}
+		fmt.Println(r)
 	}
-	if !needCorpus {
-		return
-	}
-
-	log.Printf("generating corpus...")
-	c := experiments.NewCorpus(opts)
-	log.Printf("corpus ready: %d train / %d test sessions", len(c.Train), len(c.Test))
-
-	r8, err := experiments.Figure8(c)
-	emit(r8, err)
-	r3, err := experiments.Table3(c)
-	emit(r3, err)
-	r9, err := experiments.Figure9(c)
-	emit(r9, err)
-	r10, err := experiments.Figure10(c)
-	emit(r10, err)
-	r4, err := experiments.Table4(c)
-	emit(r4, err)
-	r14, err := experiments.Figure14(c)
-	emit(r14, err)
-	r15, err := experiments.Figure15(c)
-	emit(r15, err)
-	r5, err := experiments.Table5(c)
-	emit(r5, err)
-	ra, err := experiments.Ablations(c)
-	emit(ra, err)
-
-	log.Printf("simulating field deployment (%d sessions)...", opts.FleetSessions)
-	fr, err := experiments.NewFieldRun(c)
-	if err != nil {
-		log.Fatalf("field run: %v", err)
-	}
-	emit(experiments.Figure11(fr), nil)
-	emit(experiments.Figure12(fr), nil)
-	emit(experiments.Figure13(fr), nil)
-	emit(experiments.FieldValidation(fr), nil)
 
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Second))
 }

@@ -54,22 +54,18 @@
 //
 // # Report path
 //
-// Emission mirrors ingest, lock-free end to end. Each shard pipeline
+// Emission is lock-free end to end, and one-way. Each shard pipeline
 // finalizes flows on its own worker goroutine and pushes the reports into
 // a private SPSC report ring; a single emitter goroutine drains every
 // shard's ring and delivers to the user sinks — EngineConfig.Sink per
 // report, EngineConfig.BatchSink per drained run — so a sink callback
 // never runs concurrently with itself, and a slow sink backs up only the
 // emitting shard's ring instead of stalling every worker behind a shared
-// lock. Report ownership follows the same hand-over discipline as the
-// batches. With EngineConfig.StreamOnly set (streaming is the sole
-// delivery path), spent reports ride a reverse ring back to the emitting
-// shard's pipeline for reuse, so steady-state emission allocates nothing;
-// a sink that keeps anything past the callback must copy the
-// SessionReport struct value (the copy is self-contained — the Flow it
-// points to is never reused). Without StreamOnly the engine retains every
-// report for Finish, recycling is off, and sink-held pointers stay valid
-// forever, exactly as before.
+// lock. A report is handed over, not lent: the finalization that emits it
+// allocates it, and from the sink call on it belongs to the sink — the
+// engine never writes to it again, whatever the mode.
+// EngineConfig.StreamOnly decides one thing only: whether the engine also
+// keeps the pointer so Finish can return the complete set.
 //
 // For the aggregation tier, ShardedRollup (NewShardedRollup) is the
 // matching fan-out over Rollup: N shard-local rollups with zero shared
@@ -216,7 +212,7 @@
 // runs every user callback — Sink, BatchSink, the Checkpoint hook —
 // supervised: a panic is recovered, counted (Stats.SinkPanics,
 // CheckpointFailures), and poisons that callback so it is never called
-// again, while emission, recycling and the other callbacks continue.
+// again, while emission and the other callbacks continue.
 // Every report is then delivered exactly once or counted in
 // Stats.SinkDropped — the accounting always balances against
 // EmittedReports — and Finish always completes. The whole tier is tested
@@ -251,16 +247,15 @@
 //     (it goes back there at the title decision, so a decided flow holds
 //     no launch memory), and nothing for the decision itself: slot closes
 //     and the forest run in pipeline-owned scratch.
-//   - Per report: nothing in a streaming deployment. Under StreamOnly the
-//     emitter recycles every delivered SessionReport back to the emitting
-//     shard's pipeline through a reverse ring (the report path above), so
-//     eviction storms emit with zero garbage — pinned at 0 allocs/op by
-//     the sinkgate test. A rollup absorbs each report with zero
+//   - Per report: the SessionReport itself, one 160 B struct allocated at
+//     the flow's finalization — beside the few dozen allocations and tens
+//     of KB the same flow cost at birth — and nothing after it: the
+//     emitter's drain (ring pop, Sink, BatchSink) is pinned at 0 allocs/op
+//     by the sinkgate test, and a rollup absorbs each report with zero
 //     allocations once its subscriber's window bucket is warm —
 //     percentile sketch insertion included, since each sketch owns its
 //     fixed centroid buffer (allocated once when the bucket rotates).
-//     Retention mode (no StreamOnly) allocates one report per flow, the
-//     price of Finish's complete return value.
+//     Retention mode (no StreamOnly) also grows Finish's return slice.
 //   - Per checkpoint, partition seal and pending flush: a constant handful,
 //     whatever the number of cells. The window checkpoint is written
 //     straight out of the shards' buckets, under all their locks at once
@@ -298,10 +293,9 @@
 // cmd/gamelensvet) on every file of every build:
 //
 //   - //gamelens:borrowed (borrowcheck analyzer) marks the borrowed-view
-//     producers — StageFeatureExtractor.Push, Tree.PredictProba — and the
-//     sink callback types whose pointer arguments are lent only for the
-//     call; storing either to anything that outlives the call is a
-//     finding (//gamelens:retain-ok escapes a documented transfer).
+//     producers — StageFeatureExtractor.Push, Tree.PredictProba; storing
+//     their result to anything that outlives the call is a finding
+//     (//gamelens:retain-ok escapes a documented transfer).
 //   - //gamelens:noalloc (noalloc analyzer) marks the allocation-free
 //     steady-state set — Sketch.Add, Rollup.Observe/ObserveBatch,
 //     Forest.PredictProbaInto, packet.Summarize, the emitter drain —
@@ -361,6 +355,7 @@ import (
 
 	"gamelens/internal/core"
 	"gamelens/internal/engine"
+	"gamelens/internal/features"
 	"gamelens/internal/gamesim"
 	"gamelens/internal/mlkit"
 	"gamelens/internal/rollup"
@@ -556,11 +551,17 @@ func SaveTitleModel(w io.Writer, m *Models) error {
 }
 
 // LoadTitleModel reads a forest saved by SaveTitleModel and wraps it with
-// the given classification config.
+// the given classification config. The file is untrusted: a forest that
+// splits on a feature outside the launch attribute vector, or votes for
+// more classes than the catalog has titles, is rejected here rather than
+// at the first inference.
 func LoadTitleModel(r io.Reader, cfg titleclass.Config) (*titleclass.Classifier, error) {
-	f, err := mlkit.LoadForest(r)
+	f, err := mlkit.LoadForest(r, features.NumLaunchAttrs)
 	if err != nil {
 		return nil, err
+	}
+	if f.NumClasses() > int(gamesim.NumTitles) {
+		return nil, fmt.Errorf("gamelens: title forest has %d classes, the catalog %d titles", f.NumClasses(), gamesim.NumTitles)
 	}
 	return titleclass.FromModel(f, cfg), nil
 }
@@ -595,11 +596,11 @@ func LoadStageModels(r io.Reader, cfg stageclass.Config) (*stageclass.Classifier
 	if err := dec.Decode(&rawPattern); err != nil {
 		return nil, fmt.Errorf("gamelens: pattern forest: %w", err)
 	}
-	sf, err := mlkit.LoadForest(bytes.NewReader(rawStage))
+	sf, err := mlkit.LoadForest(bytes.NewReader(rawStage), features.NumStageAttrs)
 	if err != nil {
 		return nil, fmt.Errorf("gamelens: stage forest: %w", err)
 	}
-	pf, err := mlkit.LoadForest(bytes.NewReader(rawPattern))
+	pf, err := mlkit.LoadForest(bytes.NewReader(rawPattern), len(features.TransitionAttrNames()))
 	if err != nil {
 		return nil, fmt.Errorf("gamelens: pattern forest: %w", err)
 	}

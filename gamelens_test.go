@@ -2,6 +2,8 @@ package gamelens
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,6 +101,38 @@ func TestSaveLoadTitleModel(t *testing.T) {
 		gamesim.LabNetwork(), 17, gamesim.Options{SessionLength: 5 * time.Minute})
 	if a, b := models.Title.Classify(s.Launch), loaded.Classify(s.Launch); a != b {
 		t.Errorf("loaded model disagrees: %v vs %v", a, b)
+	}
+}
+
+// TestLoadModelsRejectMisfits: a forest that is well-formed on its own but
+// does not fit the classifier it is loaded for — a split past the attribute
+// vector, more classes than the catalog has titles — fails at load, not at
+// the first flow's inference on a shard worker.
+func TestLoadModelsRejectMisfits(t *testing.T) {
+	leaf := func(classes int) string {
+		return `{"f":-1,"d":[1` + strings.Repeat(",0", classes-1) + `]}`
+	}
+	forest := func(classes, feature int) string {
+		return fmt.Sprintf(`{"format":"gamelens-forest-v1","num_classes":%d,"trees":[{"nodes":[{"f":%d,"t":1,"l":1,"r":2},%s,%s]}]}`,
+			classes, feature, leaf(classes), leaf(classes))
+	}
+	if _, err := LoadTitleModel(strings.NewReader(forest(2, 50)), titleclass.Config{}); err != nil {
+		t.Errorf("title forest splitting on the last launch attribute rejected: %v", err)
+	}
+	if _, err := LoadTitleModel(strings.NewReader(forest(2, 51)), titleclass.Config{}); err == nil {
+		t.Error("title forest splitting past the launch attributes accepted")
+	}
+	if _, err := LoadTitleModel(strings.NewReader(forest(int(gamesim.NumTitles)+1, 0)), titleclass.Config{}); err == nil {
+		t.Error("title forest with more classes than titles accepted")
+	}
+	if _, err := LoadStageModels(strings.NewReader(forest(3, 3)+forest(2, 8)), stageclass.Config{}); err != nil {
+		t.Errorf("stage and pattern forests splitting on their last attributes rejected: %v", err)
+	}
+	if _, err := LoadStageModels(strings.NewReader(forest(3, 4)+forest(2, 0)), stageclass.Config{}); err == nil {
+		t.Error("stage forest splitting past the stage attributes accepted")
+	}
+	if _, err := LoadStageModels(strings.NewReader(forest(3, 0)+forest(2, 9)), stageclass.Config{}); err == nil {
+		t.Error("pattern forest splitting past the transition attributes accepted")
 	}
 }
 

@@ -71,7 +71,8 @@ func (p *Pass) Escaped(pos token.Pos, key string) bool {
 // Run executes the analyzers over every package and returns the findings
 // sorted by position. Unknown directive keys anywhere in the packages'
 // sources (test files included) are findings too — a typo'd directive must
-// fail the gate, not be silently ignored.
+// fail the gate, not be silently ignored — and so is a function-level key on
+// a type declaration.
 func Run(pkgs []*Pkg, reg *Registry, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -81,6 +82,14 @@ func Run(pkgs []*Pkg, reg *Registry, analyzers []*Analyzer) []Diagnostic {
 				Pos:      d.Pos,
 				Message: fmt.Sprintf("unknown gamelens directive %q (known keys: %s)",
 					d.Key, knownKeyList()),
+			})
+		}
+		for _, d := range pkg.Dirs.Misplaced {
+			diags = append(diags, Diagnostic{
+				Analyzer: "directives",
+				Pos:      d.Pos,
+				Message: fmt.Sprintf("gamelens directive %q does not apply to a type declaration (only %s does)",
+					d.Key, typeDirective),
 			})
 		}
 		for _, a := range analyzers {

@@ -8,205 +8,31 @@ import (
 
 // BorrowCheckAnalyzer enforces the borrowed-view contract: the return
 // values of functions annotated //gamelens:borrowed are views of
-// callee-owned storage (scratch buffers, arena slots, recycle rings) valid
-// only until the next call — callers may re-lend them down the stack but
-// must not store them anywhere that outlives the call. Copy to retain; a
-// deliberate ownership transfer is escaped //gamelens:retain-ok.
-//
-// The same contract covers sink parameters: a named func type annotated
-// //gamelens:borrowed (e.g. core.ReportSink) lends its pointer/slice
-// arguments to the callback for the duration of the call, so a function
-// bound to that type must not retain them either.
+// callee-owned storage (scratch buffers, arena slots) valid only until the
+// next call — callers may re-lend them down the stack but must not store
+// them anywhere that outlives the call. Copy to retain; a deliberate
+// ownership transfer is escaped //gamelens:retain-ok.
 var BorrowCheckAnalyzer = &Analyzer{
 	Name: "borrowcheck",
-	Doc:  "forbid storing //gamelens:borrowed return values or sink parameters into outliving locations",
+	Doc:  "forbid storing //gamelens:borrowed return values into outliving locations",
 	Run:  runBorrowCheck,
 }
 
 func runBorrowCheck(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkBorrowBody(pass, fd.Body, fd.Type, nil)
-		}
-		// Function literals bound to an annotated sink type have their
-		// pointer/slice parameters borrowed for the duration of each call.
-		for _, lit := range sinkBoundLits(pass, f) {
-			checkBorrowBody(pass, lit.Body, lit.Type, borrowedParams(pass, lit.Type))
-		}
-	}
-}
-
-// sinkBoundLits finds the function literals in f that are bound to a named
-// func type annotated //gamelens:borrowed. A literal's own recorded type is
-// always its bare signature, so the binding has to be read off the
-// surrounding context: call arguments, conversions, assignments, variable
-// declarations, struct-literal fields (engine.Config{Sink: func...}), and
-// returns from functions whose result is the sink type.
-func sinkBoundLits(pass *Pass, f *ast.File) []*ast.FuncLit {
-	info := pass.Pkg.Info
-	isSink := func(t types.Type) bool {
-		if t == nil {
-			return false
-		}
-		key := typeKey(t)
-		return key != "" && pass.Reg.TypeHas(key, "borrowed")
-	}
-	var lits []*ast.FuncLit
-	addIf := func(e ast.Expr, t types.Type) {
-		if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok && isSink(t) {
-			lits = append(lits, lit)
-		}
-	}
-	// enclosing funcs for return statements, closed off by position like a
-	// scope stack (Inspect's nil post-visit does not say which node ended).
-	type openFunc struct {
-		ft  *ast.FuncType
-		end token.Pos
-	}
-	var resultStack []openFunc
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			return true
-		}
-		for len(resultStack) > 0 && n.Pos() >= resultStack[len(resultStack)-1].end {
-			resultStack = resultStack[:len(resultStack)-1]
-		}
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			resultStack = append(resultStack, openFunc{n.Type, n.End()})
-		case *ast.FuncLit:
-			resultStack = append(resultStack, openFunc{n.Type, n.End()})
-		case *ast.CallExpr:
-			tv, ok := info.Types[n.Fun]
-			switch {
-			case ok && tv.IsType(): // conversion Sink(func...)
-				addIf(n.Args[0], tv.Type)
-			case ok:
-				if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-					for i, arg := range n.Args {
-						pi := i
-						if pi >= sig.Params().Len() {
-							pi = sig.Params().Len() - 1 // variadic tail
-						}
-						if pi >= 0 {
-							addIf(arg, sig.Params().At(pi).Type())
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					if tv, ok := info.Types[n.Lhs[i]]; ok {
-						addIf(n.Rhs[i], tv.Type)
-					} else if id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok {
-						if obj := objOf(info, id); obj != nil {
-							addIf(n.Rhs[i], obj.Type())
-						}
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, v := range n.Values {
-				if i < len(n.Names) {
-					if obj := info.Defs[n.Names[i]]; obj != nil {
-						addIf(v, obj.Type())
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			t := info.Types[n].Type
-			if t == nil {
-				break
-			}
-			if ptr, ok := t.Underlying().(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			st, ok := t.Underlying().(*types.Struct)
-			if !ok {
-				break
-			}
-			for _, elt := range n.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				for i := 0; i < st.NumFields(); i++ {
-					if st.Field(i).Name() == key.Name {
-						addIf(kv.Value, st.Field(i).Type())
-						break
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			if len(resultStack) == 0 {
-				break
-			}
-			ft := resultStack[len(resultStack)-1].ft
-			if ft.Results == nil {
-				break
-			}
-			var resultTypes []types.Type
-			for _, field := range ft.Results.List {
-				t := info.Types[field.Type].Type
-				nnames := len(field.Names)
-				if nnames == 0 {
-					nnames = 1
-				}
-				for j := 0; j < nnames; j++ {
-					resultTypes = append(resultTypes, t)
-				}
-			}
-			for i, r := range n.Results {
-				if i < len(resultTypes) {
-					addIf(r, resultTypes[i])
-				}
-			}
-		}
-		return true
-	})
-	return lits
-}
-
-// borrowedParams returns the objects of the pointer- and slice-typed
-// parameters of ft — the arguments a borrowed sink type lends.
-func borrowedParams(pass *Pass, ft *ast.FuncType) map[types.Object]bool {
-	params := map[types.Object]bool{}
-	if ft.Params == nil {
-		return params
-	}
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			obj := pass.Pkg.Info.Defs[name]
-			if obj == nil {
-				continue
-			}
-			switch obj.Type().Underlying().(type) {
-			case *types.Pointer, *types.Slice:
-				params[obj] = true
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkBorrowBody(pass, fd.Body)
 			}
 		}
 	}
-	return params
 }
 
 // checkBorrowBody flags stores of borrowed values to outliving locations
-// within one function body. seed pre-marks borrowed objects (sink params);
-// locals assigned from borrowed-annotated calls are added as they appear.
-func checkBorrowBody(pass *Pass, body *ast.BlockStmt, _ *ast.FuncType, seed map[types.Object]bool) {
+// within one function body.
+func checkBorrowBody(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
 	borrowed := map[types.Object]bool{}
-	for obj := range seed {
-		borrowed[obj] = true
-	}
 
 	// Pass 1: find locals bound to the result of a borrowed call, in any
 	// x := f() / x = f() / var x = f() form. Flow-insensitive: once a name

@@ -30,6 +30,10 @@ var KnownKeys = map[string]string{
 	"sorted":           "detjson",
 }
 
+// typeDirective is the one key that annotates a type declaration; every
+// other declaration-level key describes a function.
+const typeDirective = "single-goroutine"
+
 func knownKeyList() string {
 	keys := make([]string, 0, len(KnownKeys))
 	for k := range KnownKeys {
@@ -58,6 +62,9 @@ type PkgDirectives struct {
 	escapes map[string]map[int][]string
 	// Unknown collects directives whose key is not in KnownKeys.
 	Unknown []Directive
+	// Misplaced collects known directives on a type declaration other than
+	// typeDirective, the only one a type can carry.
+	Misplaced []Directive
 }
 
 func (d *PkgDirectives) escapedAt(pos token.Position, key string) bool {
@@ -149,7 +156,7 @@ func scanFile(fset *token.FileSet, pkgPath string, f *ast.File, d *PkgDirectives
 	// Index which comments belong to a declaration doc block, so the escape
 	// table only holds genuine statement-level directives.
 	docComments := map[*ast.Comment]bool{}
-	declKeyed := func(doc *ast.CommentGroup, into *map[string][]Directive, key string) {
+	declKeyed := func(doc *ast.CommentGroup, into *map[string][]Directive, key string, onType bool) {
 		if doc == nil {
 			return
 		}
@@ -163,6 +170,10 @@ func scanFile(fset *token.FileSet, pkgPath string, f *ast.File, d *PkgDirectives
 				d.Unknown = append(d.Unknown, dir)
 				continue
 			}
+			if onType && dir.Key != typeDirective {
+				d.Misplaced = append(d.Misplaced, dir)
+				continue
+			}
 			if *into == nil {
 				*into = map[string][]Directive{}
 			}
@@ -172,7 +183,7 @@ func scanFile(fset *token.FileSet, pkgPath string, f *ast.File, d *PkgDirectives
 	for _, decl := range f.Decls {
 		switch decl := decl.(type) {
 		case *ast.FuncDecl:
-			declKeyed(decl.Doc, &d.Funcs, funcKeyOfDecl(pkgPath, decl))
+			declKeyed(decl.Doc, &d.Funcs, funcKeyOfDecl(pkgPath, decl), false)
 		case *ast.GenDecl:
 			for _, spec := range decl.Specs {
 				ts, ok := spec.(*ast.TypeSpec)
@@ -183,7 +194,7 @@ func scanFile(fset *token.FileSet, pkgPath string, f *ast.File, d *PkgDirectives
 				if doc == nil && len(decl.Specs) == 1 {
 					doc = decl.Doc
 				}
-				declKeyed(doc, &d.Types, pkgPath+"."+ts.Name.Name)
+				declKeyed(doc, &d.Types, pkgPath+"."+ts.Name.Name, true)
 			}
 		}
 	}

@@ -14,7 +14,8 @@
 // attached to the declaration they annotate (function, method, or type), or
 // placed on — or immediately above — a statement to escape one finding.
 // The vocabulary is closed; a typo'd key is itself a lintgate failure
-// (see Registry and the KnownKeys table), so a directive can never be
+// (see Registry and the KnownKeys table), and so is any key but
+// single-goroutine on a type declaration, so a directive can never be
 // silently ignored.
 //
 // # Directives
@@ -24,10 +25,8 @@
 //	                             storage — callers must not store them into
 //	                             struct fields, package vars, maps, channels
 //	                             or slices that outlive the call (copy to
-//	                             retain). On a named func type (a sink
-//	                             type): the pointer/slice parameters of any
-//	                             function bound to that type are borrowed
-//	                             for the duration of the call.
+//	                             retain). Not a type directive: reports
+//	                             are handed to sinks, not lent.
 //	//gamelens:retain-ok         (borrowcheck) statement escape: this store
 //	                             of a borrowed value is a documented
 //	                             ownership transfer.
@@ -69,7 +68,7 @@
 // # Analyzers
 //
 //	borrowcheck   enforces the ...Into/borrowed-view contract (ROADMAP
-//	              performance model, PR 4/7).
+//	              performance model, PR 4).
 //	noalloc       enforces the zero-allocation steady-state contract the
 //	              allocgate/sinkgate runtime pins measure (PR 4–7).
 //	wallclock     enforces packet-clock determinism (PR 2): time.Now and

@@ -147,7 +147,4 @@ func TestRepoDirectivesKnown(t *testing.T) {
 	if !reg.TypeHas("gamelens/internal/engine.Producer", "single-goroutine") {
 		t.Error("registry is missing single-goroutine on engine.Producer")
 	}
-	if !reg.TypeHas("gamelens/internal/core.ReportSink", "borrowed") {
-		t.Error("registry is missing borrowed on core.ReportSink")
-	}
 }

@@ -110,6 +110,18 @@ func (k *zzKeeper) zzRetain(t *Tree, x []float64) {
 `,
 		},
 		{
+			name:     "BorrowedOnSinkType",
+			path:     "internal/core/zz_seeded_violation.go",
+			pattern:  "./internal/core",
+			analyzer: "directives",
+			substr:   `"borrowed" does not apply to a type declaration`,
+			src: `package core
+
+//gamelens:borrowed the report is lent for the duration of the call
+type zzSink func(*SessionReport)
+`,
+		},
+		{
 			name:     "AppendInNoAllocFn",
 			path:     "internal/sketch/zz_seeded_violation.go",
 			pattern:  "./internal/sketch",

@@ -1,6 +1,6 @@
 // Package borrowfix exercises the borrowcheck analyzer: return values of
-// //gamelens:borrowed functions (and the parameters of sink-typed
-// literals) must not be stored to outliving locations.
+// //gamelens:borrowed functions must not be stored to outliving
+// locations.
 package borrowfix
 
 // Pool hands out views of its internal scratch.
@@ -53,40 +53,3 @@ func (p *Pool) Relend(n int) int {
 }
 
 func use(b []byte) int { return len(b) }
-
-// Report is what sinks receive.
-type Report struct{ N int }
-
-// Sink receives borrowed reports: the pointer argument is lent for the
-// duration of the call.
-//
-//gamelens:borrowed params lent for the call
-type Sink func(*Report)
-
-var last *Report
-
-// MakeBad returns a sink that retains its argument.
-func MakeBad() Sink {
-	return func(r *Report) {
-		last = r // want "borrowed view stored to package variable last"
-	}
-}
-
-// MakeGood copies the report before keeping anything.
-func MakeGood(keep *Report) Sink {
-	return func(r *Report) {
-		*keep = *r
-	}
-}
-
-// config mirrors engine.Config{Sink: ...} binding through a struct field.
-type config struct {
-	Sink Sink
-}
-
-// FieldBound binds a retaining literal through a composite-literal field.
-func FieldBound() config {
-	return config{Sink: func(r *Report) {
-		last = r // want "borrowed view stored to package variable last"
-	}}
-}

@@ -22,9 +22,8 @@ import (
 // idleness or when Finish finalizes the remainder. A Pipeline invokes its
 // sink synchronously from HandlePacket/Finish on the calling goroutine;
 // sinks shared across pipelines (the sharded engine's merged sink) must be
-// concurrency-safe.
-//
-//gamelens:borrowed the report is lent for the duration of the call; copy to retain
+// concurrency-safe. The report is handed over: the sink owns it from the
+// call on (see SessionReport).
 type ReportSink func(*SessionReport)
 
 // lifecycle tracks the packet clock and drives amortized eviction sweeps.
@@ -110,14 +109,13 @@ func (p *Pipeline) sweep() int {
 // finalize closes out one session: a pending title decision is forced (the
 // launch window may not have elapsed on a short or truncated flow) and the
 // report is stamped with the session's packet-time bounds and eviction
-// status. The report struct comes off the pipeline's free list when a
-// consumer has recycled one (RecycleReport), so a monitor whose sink
-// returns reports after delivery emits with zero steady-state allocation.
+// status. The report is allocated here, at the per-flow edge, and belongs
+// to whoever it is emitted to.
 func (p *Pipeline) finalize(fs *FlowSession, evicted bool) *SessionReport {
 	if fs.launch != nil {
 		p.decideTitle(fs)
 	}
-	r := fs.ReportInto(p.newReport())
+	r := fs.Report()
 	r.End = fs.LastSeen
 	r.Evicted = evicted
 	return r

@@ -110,9 +110,6 @@ type Pipeline struct {
 	// flows' accumulators for the next flows adopted (package doc).
 	titleSc    titleclass.Scratch
 	launchFree []*features.LaunchAccumulator
-	// reportFree recycles spent SessionReports handed back through
-	// RecycleReport; finalize rewrites them in place via ReportInto.
-	reportFree []*SessionReport
 }
 
 // New assembles a pipeline around trained classifiers.
@@ -172,13 +169,11 @@ type FlowSession struct {
 
 // SessionReport is the final or interim summary for one flow.
 //
-// Ownership: a report returned by Finish (or Pipeline-retained for it) is
-// the caller's to keep. A report delivered through a recycling consumer —
-// the sharded engine's sink in StreamOnly mode, where spent reports return
-// to the emitting pipeline for reuse — is borrowed for the duration of the
-// sink call only; copy the struct value to retain it (the copy stays
-// valid: the struct is self-contained and the Flow it points to is never
-// reused).
+// Ownership: a report is allocated by the finalization that emits it and
+// handed over, never lent. Whoever receives it — Finish's caller, a
+// ReportSink, the sharded engine's sinks in every mode — owns it from then
+// on; nothing in the tree writes to it again, and the Flow it points to is
+// never reused.
 type SessionReport struct {
 	Flow         *flowdetect.Flow
 	Title        titleclass.Result
@@ -196,7 +191,7 @@ type SessionReport struct {
 	EffectiveScore float64
 	// End is the session's last packet timestamp (the report covers
 	// [Flow.FirstSeen, End]). Zero on reports built directly from
-	// FlowSession.ReportInto without finalization.
+	// FlowSession.Report without finalization.
 	End time.Time
 	// Evicted marks a report produced by TTL eviction of an idle flow
 	// rather than by Finish at end of capture.
@@ -398,18 +393,12 @@ func estimateFrameRate(slot trace.Slot, i time.Duration) float64 {
 	return fps
 }
 
-// ReportInto summarizes the flow session through caller-owned dst,
-// following the same borrow convention as the ...Into scratch methods:
-// every field of dst is overwritten (no state leaks from a previous use),
-// the result references nothing the session retains, and dst itself is
-// returned. This is the recycling entry point — the sharded engine's
-// emitter returns spent reports through per-shard reverse rings and the
-// pipeline rewrites them here, so steady-state report emission allocates
-// nothing (see RecycleReport).
-func (fs *FlowSession) ReportInto(dst *SessionReport) *SessionReport {
+// Report summarizes the flow session in a new report, which references
+// nothing the session retains and is the caller's to keep.
+func (fs *FlowSession) Report() *SessionReport {
 	obj, eff, score := fs.Grades()
 	pattern, known := fs.Pattern()
-	*dst = SessionReport{
+	r := &SessionReport{
 		Flow:           fs.Flow,
 		Title:          fs.Title,
 		Pattern:        pattern,
@@ -420,41 +409,9 @@ func (fs *FlowSession) ReportInto(dst *SessionReport) *SessionReport {
 		EffectiveScore: score,
 	}
 	if fs.secs > 0 {
-		dst.MeanDownMbps = float64(fs.bytesDown) * 8 / fs.secs / 1e6
+		r.MeanDownMbps = float64(fs.bytesDown) * 8 / fs.secs / 1e6
 	}
-	return dst
-}
-
-// reportFreeMax bounds the pipeline's report free list. Reports in
-// circulation are bounded by the consumer's queue depth (the engine's
-// per-shard emission ring), so the cap only matters if a caller recycles
-// more reports than it ever borrowed; beyond it the GC takes over.
-const reportFreeMax = 256
-
-// RecycleReport returns a spent report to the pipeline's free list: the
-// next finalization reuses it (ReportInto overwrites every field) instead
-// of allocating. The borrow contract is strict — by handing a report back,
-// the caller asserts nothing references it anymore; a consumer that
-// retained the pointer would observe it mutate into a different flow's
-// report. Call only from the goroutine that owns the pipeline (the
-// engine's shard worker recycles on the worker goroutine); a nil report is
-// ignored.
-func (p *Pipeline) RecycleReport(r *SessionReport) {
-	if r == nil || len(p.reportFree) >= reportFreeMax {
-		return
-	}
-	p.reportFree = append(p.reportFree, r)
-}
-
-// newReport pops a recycled report or allocates a fresh one.
-func (p *Pipeline) newReport() *SessionReport {
-	if n := len(p.reportFree); n > 0 {
-		r := p.reportFree[n-1]
-		p.reportFree[n-1] = nil
-		p.reportFree = p.reportFree[:n-1]
-		return r
-	}
-	return new(SessionReport)
+	return r
 }
 
 // NumFlows returns the number of live gaming-flow sessions (created minus

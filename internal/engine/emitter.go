@@ -1,11 +1,8 @@
 // The emitter side of the report path: shard pipelines push finalized
 // *core.SessionReports into per-shard SPSC rings, one emitter goroutine
-// drains every ring, feeds the user sink(s), and — in recycle mode — sends
-// the spent reports back through each shard's reverse ring so the shard
-// pipeline reuses them (core.Pipeline.RecycleReport) instead of
-// allocating. This mirrors the ingest side exactly: rings instead of
-// locks, a doorbell instead of polling, and ...Into-style ownership at
-// every handoff (see the package comment's report-path section).
+// drains every ring and hands each report to the user sink(s), whose it
+// then is. Like the ingest side: rings instead of locks, a doorbell instead
+// of polling (see the package comment's report-path section).
 
 package engine
 
@@ -36,24 +33,6 @@ func (e *Engine) pushReport(s *shard, r *core.SessionReport) {
 		}
 	}
 	e.wakeEmitter()
-	// Reports the emitter has already recycled are reclaimed here, on the
-	// pipeline owner's goroutine, so the next finalize in this same sweep
-	// finds a free report waiting.
-	s.reclaim()
-}
-
-// reclaim moves every recycled report waiting on the shard's reverse ring
-// into the shard pipeline's free list. Caller must be the pipeline's
-// current owner (the shard worker, or Finish after the workers exit) —
-// that goroutine is also the reverse ring's single consumer.
-func (s *shard) reclaim() {
-	for {
-		r, ok := s.reportFree.pop()
-		if !ok {
-			return
-		}
-		s.pipe.RecycleReport(r)
-	}
 }
 
 // wakeEmitter rings the emitter's doorbell without blocking.
@@ -65,9 +44,9 @@ func (e *Engine) wakeEmitter() {
 }
 
 // runEmitter is the emitter goroutine: drain every shard's report ring,
-// deliver to the sinks, recycle or retain, sleep on the doorbell when
-// idle. Exits after Finish sets emitClosed and a final drain comes up
-// empty — the same close protocol as the shard workers, so no report
+// deliver to the sinks, retain for Finish if asked to, sleep on the
+// doorbell when idle. Exits after Finish sets emitClosed and a final drain
+// comes up empty — the same close protocol as the shard workers, so no report
 // pushed before emitClosed can be lost. After each non-empty drain the
 // checkpoint hook gets a chance to run (maybeCheckpoint): the drain path
 // is where the rollup behind BatchSink just advanced its packet clock, so
@@ -130,9 +109,9 @@ func (e *Engine) callCheckpoint() (wrote bool, err error, panicked bool) {
 // rings, returning how many it delivered. Per shard the run is popped into
 // the reusable scratch and handed to deliver as one batch, so the user
 // BatchSink (and a rollup behind it) pays one call — one lock — per run
-// instead of per report. Steady state allocates nothing: the scratch is
-// pre-sized to the ring capacity and reports return through the reverse
-// rings (sinkgate pins this at 0 allocs/op).
+// instead of per report. Under StreamOnly the drain allocates nothing: the
+// scratch is pre-sized to the ring capacity (sinkgate pins this at
+// 0 allocs/op).
 //
 //gamelens:noalloc
 func (e *Engine) drainReports() int {
@@ -151,26 +130,20 @@ func (e *Engine) drainReports() int {
 				break
 			}
 			total += len(batch)
-			e.deliver(s, batch)
+			e.deliver(batch)
 		}
 	}
 	return total
 }
 
-// deliver feeds one drained batch to the configured sinks, then recycles
-// the reports back to the emitting shard (recycle mode) or retains them
-// for Finish. Reports handed to Sink/BatchSink in recycle mode are
-// borrowed for the duration of the call — core.SessionReport documents
-// the copy-to-retain rule. A full reverse ring drops the overflow to the
-// GC rather than blocking: recycling is an optimization, never a
-// correctness dependency, and the emitter must not stall once the shard
-// workers have exited.
+// deliver hands one drained batch to the configured sinks and, in retention
+// mode, keeps the pointers for Finish.
 // Delivery is supervised: a panicking user sink is recovered (callSink /
 // callBatchSink), marked poisoned, and skipped from then on, with skipped
 // per-report deliveries counted in Stats.SinkDropped. The emitter itself
-// never dies, so a poisoned run still drains rings, recycles reports, and
-// completes Finish — exactly-once-or-counted, never wedged.
-func (e *Engine) deliver(s *shard, reports []*core.SessionReport) {
+// never dies, so a poisoned run still drains rings and completes Finish —
+// exactly-once-or-counted, never wedged.
+func (e *Engine) deliver(reports []*core.SessionReport) {
 	e.emitted.Add(int64(len(reports)))
 	if e.cfg.Sink != nil {
 		if e.sinkPoisoned {
@@ -190,17 +163,8 @@ func (e *Engine) deliver(s *shard, reports []*core.SessionReport) {
 			e.batchPoisoned = true
 		}
 	}
-	if e.recycle {
-		n := 0
-		for _, r := range reports {
-			if !s.reportFree.push(r) {
-				break
-			}
-			n++
-		}
-		e.recycled.Add(int64(n))
-	} else {
-		//gamelens:alloc-ok retention mode only; the steady-state path is the recycle branch above
+	if e.retain {
+		//gamelens:alloc-ok retention mode only; a StreamOnly drain skips it
 		e.streamed = append(e.streamed, reports...)
 	}
 }

@@ -12,17 +12,15 @@ import (
 	"gamelens/internal/rollup"
 )
 
-// newDrainRig builds the minimal emitter rig — one shard with report and
-// recycle rings, an engine in recycle mode, no goroutines — so the drain
-// path runs synchronously on the test goroutine, which is what an
-// AllocsPerRun pin (and an uncontended benchmark) needs.
+// newDrainRig builds the minimal emitter rig — one shard with a report
+// ring, an engine that does not retain, no goroutines — so the drain path
+// runs synchronously on the test goroutine, which is what an AllocsPerRun
+// pin (and an uncontended benchmark) needs.
 func newDrainRig(ringCap int, sink core.ReportSink, batchSink func([]*core.SessionReport)) (*Engine, *shard) {
 	s := &shard{reports: newSPSCRing[*core.SessionReport](ringCap)}
-	s.reportFree = newSPSCRing[*core.SessionReport](len(s.reports.slots) + 2)
 	e := &Engine{
-		cfg:     Config{Sink: sink, BatchSink: batchSink, StreamOnly: true},
-		recycle: true,
-		shards:  []*shard{s},
+		cfg:    Config{Sink: sink, BatchSink: batchSink, StreamOnly: true},
+		shards: []*shard{s},
 	}
 	e.emitScratch = make([]*core.SessionReport, 0, len(s.reports.slots))
 	return e, s
@@ -50,9 +48,8 @@ func stormReports(n int) []*core.SessionReport {
 
 // TestEmitterDrainAllocs is the sinkgate pin: the steady-state emit→rollup
 // drain — pop a run off a shard's report ring, deliver it to a per-report
-// sink and a sharded-rollup batch sink, recycle every report — must not
-// allocate. This is the whole point of the report path: a monitor under
-// continuous eviction load emits with zero garbage.
+// sink and a sharded-rollup batch sink — must not allocate, so what a
+// report costs is the one struct its finalization allocates.
 func TestEmitterDrainAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are only pinned without -race instrumentation")
@@ -69,24 +66,17 @@ func TestEmitterDrainAllocs(t *testing.T) {
 		if n := e.drainReports(); n != len(reports) {
 			t.Fatalf("drained %d reports, want %d", n, len(reports))
 		}
-		for range reports {
-			if _, ok := s.reportFree.pop(); !ok {
-				t.Fatal("delivered report was not recycled")
-			}
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("emitter drain allocated %.1f allocs/op steady-state, want 0", allocs)
 	}
 }
 
-// TestDeliverRetainsWithoutStreamOnly pins the retention side of the
-// borrow contract: outside recycle mode delivered pointers go to streamed
-// (for Finish) and are never pushed back for reuse.
+// TestDeliverRetains pins retention mode: delivered pointers go to streamed
+// (for Finish), in delivery order.
 func TestDeliverRetains(t *testing.T) {
 	s := &shard{reports: newSPSCRing[*core.SessionReport](8)}
-	s.reportFree = newSPSCRing[*core.SessionReport](10)
-	e := &Engine{shards: []*shard{s}}
+	e := &Engine{shards: []*shard{s}, retain: true}
 	e.emitScratch = make([]*core.SessionReport, 0, len(s.reports.slots))
 	reports := stormReports(5)
 	for _, r := range reports {
@@ -103,17 +93,13 @@ func TestDeliverRetains(t *testing.T) {
 			t.Fatalf("streamed[%d] is not the delivered pointer", i)
 		}
 	}
-	if _, ok := s.reportFree.pop(); ok {
-		t.Fatal("retention mode recycled a report the caller still owns")
-	}
-	if e.recycled.Load() != 0 || e.emitted.Load() != int64(len(reports)) {
-		t.Fatalf("counters = (emitted %d, recycled %d), want (%d, 0)",
-			e.emitted.Load(), e.recycled.Load(), len(reports))
+	if e.emitted.Load() != int64(len(reports)) {
+		t.Fatalf("emitted = %d, want %d", e.emitted.Load(), len(reports))
 	}
 }
 
 // BenchmarkEmitterDrain measures the report path in isolation: ring push →
-// emitter drain → sink + sharded-rollup batch observe → recycle. The
+// emitter drain → sink + sharded-rollup batch observe. The
 // reports/s metric is the emission-side counterpart of BenchmarkSteadyState's
 // pkts/s.
 func BenchmarkEmitterDrain(b *testing.B) {
@@ -125,9 +111,6 @@ func BenchmarkEmitterDrain(b *testing.B) {
 			s.reports.push(r)
 		}
 		e.drainReports()
-		for range reports {
-			s.reportFree.pop()
-		}
 	}
 	// One warm-up drain populates the rollup's subscriber maps and sketch
 	// buffers, so short -benchtime runs measure the allocation-free steady

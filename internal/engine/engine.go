@@ -35,20 +35,16 @@
 //
 // # Report path
 //
-// Emission runs the same discipline in reverse. Each shard worker owns a
-// private SPSC report ring into which its pipeline emits finalized
-// *core.SessionReports; a single emitter goroutine drains every shard's
-// ring, delivers each drained run to the user sinks (Config.Sink per
-// report, Config.BatchSink per run), and — when StreamOnly streaming makes
-// retention unnecessary — pushes the spent reports back through a reverse
-// ring so the shard pipeline reuses them (core.Pipeline.RecycleReport)
-// instead of allocating. No mutex exists anywhere on the steady-state
-// report path: a slow sink backs up one shard's ring and blocks only that
-// shard's emission, never the other shards' ingest. Reports delivered in
-// recycle mode are borrowed for the duration of the sink call (copy the
-// struct to retain — see core.SessionReport); without StreamOnly the
-// emitter retains every report for Finish and recycling is off, so
-// sink-held pointers stay valid forever.
+// Emission is a one-way handoff. Each shard worker owns a private SPSC
+// report ring into which its pipeline pushes the *core.SessionReport each
+// finalization allocates; a single emitter goroutine drains every shard's
+// ring and delivers each drained run to the user sinks (Config.Sink per
+// report, Config.BatchSink per run). From that call on a report belongs to
+// whoever received it — the engine never writes to it again, in any mode —
+// and without StreamOnly the emitter also keeps the pointer for Finish to
+// return. No mutex exists anywhere on the steady-state report path: a slow
+// sink backs up one shard's ring and blocks only that shard's emission,
+// never the other shards' ingest.
 //
 // For long-running deployments the engine threads the core flow lifecycle
 // through the shards: each shard's pipeline evicts its own idle flows
@@ -114,17 +110,15 @@ type Config struct {
 	// — always from the engine's single emitter goroutine, so no two calls
 	// ever run concurrently. The engine installs its own per-shard report
 	// ring as each shard pipeline's sink, so Pipeline.Sink is ignored; set
-	// stream behavior here. Under StreamOnly the delivered report is
-	// borrowed for the duration of the call (it will be recycled); copy
-	// the struct to retain it.
+	// stream behavior here. The sink owns each report it is handed.
 	Sink core.ReportSink
 	// BatchSink, when set, receives each run of reports the emitter drains
 	// from one shard's ring — one call per drained batch instead of one per
 	// report, which is how a rollup consumer amortizes one lock
 	// acquisition per batch (rollup.Rollup.ObserveBatch). Called after
-	// Sink has seen each report of the batch. The slice is borrowed: the
-	// emitter reuses it for the next drain, and under StreamOnly the
-	// reports are recycled too.
+	// Sink has seen each report of the batch. The reports are handed over
+	// like Sink's; the slice itself is the emitter's drain scratch, reused
+	// for the next call.
 	BatchSink func(reports []*core.SessionReport)
 	// ReportQueue bounds each shard's report ring, in reports (default
 	// 256, rounded up to a power of two). A full ring blocks that shard's
@@ -155,13 +149,14 @@ type Config struct {
 	// panic poisons the hook — it is never called again and counts one
 	// failure — rather than killing the emitter.
 	Checkpoint func() (wrote bool, err error)
-	// StreamOnly makes Sink the sole delivery path: reports are not
+	// StreamOnly makes the sinks the sole delivery path: reports are not
 	// retained for Finish, which still finalizes the remaining sessions
-	// (delivering them through Sink) but returns nil. Without it the
+	// (delivering them through the sinks) but returns nil. Without it the
 	// engine keeps every report so Finish can return the complete set —
 	// per-flow memory a monitor that runs indefinitely and already
 	// consumes the stream should not pay. Ignored (reports are retained)
-	// when Sink is nil, since they would otherwise be lost entirely.
+	// when neither sink is set, since they would otherwise be lost
+	// entirely.
 	StreamOnly bool
 	// Pipeline configures each shard's core pipeline (including the flow
 	// lifecycle: FlowTTL, SweepInterval).
@@ -215,11 +210,8 @@ type Stats struct {
 	// plus Finish finalizations). A live read can trail the shard report
 	// rings by ReportBacklog; exact after Finish.
 	EmittedReports int64
-	// RecycledReports counts delivered reports returned to their shard
-	// pipeline's free list for reuse. Nonzero only in recycle mode
-	// (StreamOnly with a sink); the gap to EmittedReports is reports that
-	// went to the GC instead (reverse ring momentarily full, or retention
-	// mode).
+	// RecycledReports is always 0 since PR 21 (reports are handed over,
+	// not recycled); removed with ROADMAP item 1.
 	RecycledReports int64
 	// ReportBacklog is the number of reports currently queued in the shard
 	// report rings awaiting the emitter — the emitter queue depth. A live
@@ -325,13 +317,8 @@ type shard struct {
 
 	// reports is the shard's emission lane: the shard pipeline's sink
 	// pushes finalized reports here (producer: the worker, then Finish
-	// after the workers exit), the emitter pops. reportFree is the reverse
-	// lane recycling spent reports (producer: the emitter; consumer: the
-	// worker via reclaim), sized past the data ring so a recycle push only
-	// overflows — and falls back to the GC — when the worker stops
-	// reclaiming at shutdown.
-	reports    *spscRing[*core.SessionReport]
-	reportFree *spscRing[*core.SessionReport]
+	// after the workers exit), the emitter pops.
+	reports *spscRing[*core.SessionReport]
 
 	// counts is the worker's atomically published {live, evicted} pair
 	// (nil until a batch first changes it). Publishing both in one store is
@@ -415,19 +402,17 @@ type Engine struct {
 	nextTickNs atomic.Int64
 
 	// The report path (emitter.go): shard pipelines emit into per-shard
-	// SPSC rings, the emitter goroutine drains them, feeds the sinks, and
-	// either recycles the spent reports (recycle mode: StreamOnly with a
-	// sink) or retains them in streamed for Finish. streamed and
-	// emitScratch are emitter-goroutine property until emitWG.Wait() in
-	// Finish hands them over; no lock guards any of it.
+	// SPSC rings, the emitter goroutine drains them, feeds the sinks and,
+	// when retain is set, keeps the pointers in streamed for Finish.
+	// streamed and emitScratch are emitter-goroutine property until
+	// emitWG.Wait() in Finish hands them over; no lock guards any of it.
 	emitWake    chan struct{}
 	emitClosed  atomic.Bool
 	emitWG      sync.WaitGroup
 	emitScratch []*core.SessionReport
-	recycle     bool
+	retain      bool
 	streamed    []*core.SessionReport
 	emitted     atomic.Int64
-	recycled    atomic.Int64
 
 	// Supervision state (emitter.go). The poisoned flags are plain bools:
 	// they are emitter-goroutine property, like emitScratch. The counters
@@ -458,18 +443,13 @@ func New(cfg Config, titles *titleclass.Classifier, stages *stageclass.Classifie
 		}
 		e.tickEvery = int64(every)
 	}
-	// Recycle mode: StreamOnly streaming means no one retains reports past
-	// the sink call, so spent reports may circulate back for reuse. With
-	// retention (the default, or no sink at all) recycling stays off and
-	// every delivered pointer remains valid forever.
-	e.recycle = cfg.StreamOnly && (cfg.Sink != nil || cfg.BatchSink != nil)
+	e.retain = !(cfg.StreamOnly && (cfg.Sink != nil || cfg.BatchSink != nil))
 	e.emitWake = make(chan struct{}, 1)
 	for i := range e.shards {
 		s := &shard{
 			wake:    make(chan struct{}, 1),
 			reports: newSPSCRing[*core.SessionReport](cfg.ReportQueue),
 		}
-		s.reportFree = newSPSCRing[*core.SessionReport](len(s.reports.slots) + 2)
 		// Each shard pipeline gets its own sink closure bound to its own
 		// report ring — the per-shard edge that replaced the old shared
 		// sinkMu. See Config.Sink for the user-facing contract.
@@ -548,7 +528,6 @@ func (s *shard) drain() int {
 
 // consume replays one batch into the shard pipeline and recycles it.
 func (s *shard) consume(q *queue, b batch) {
-	s.reclaim() // recycled reports back to the pipeline before it finalizes more
 	if !b.expire.IsZero() {
 		s.pipe.ExpireIdle(b.expire)
 		s.publish()
@@ -641,7 +620,6 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Shards:                len(e.shards),
 		EmittedReports:        e.emitted.Load(),
-		RecycledReports:       e.recycled.Load(),
 		SinkPanics:            e.sinkPanics.Load(),
 		SinkDropped:           e.sinkDropped.Load(),
 		CheckpointGenerations: e.ckptGens.Load(),
@@ -700,7 +678,6 @@ func (e *Engine) Finish() []*core.SessionReport {
 		// single producer. The emitter is still running and drains
 		// concurrently — a full ring just backpressures pushReport.
 		for _, s := range e.shards {
-			s.reclaim()
 			s.pipe.Finish()
 		}
 		// Close the emitter with the same drained+flag protocol the shard

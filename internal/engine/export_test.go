@@ -13,7 +13,7 @@ import (
 // producer and worker would — the synchronous rig an AllocsPerRun pin on
 // the shard's per-batch path needs.
 func NewConsumeRig(pipe *core.Pipeline) func(ts []time.Time, sums []packet.Summary) {
-	s := &shard{pipe: pipe, reportFree: newSPSCRing[*core.SessionReport](1)}
+	s := &shard{pipe: pipe}
 	pr := pair{q: newQueue(1)}
 	return func(ts []time.Time, sums []packet.Summary) {
 		b := pr.newBatch(len(sums))

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -115,31 +116,23 @@ func TestSlowSinkShardIsolation(t *testing.T) {
 	}
 }
 
-// TestEvictionStormExactlyOnce floods every shard with concurrently
-// evicting flows while the emitter recycles reports underneath, and
-// asserts the end-to-end exactly-once invariant: every flow's report
-// crosses the emitter exactly once — none lost at the rings or the close
-// protocol, none duplicated by the recycle loop. Run under
-// `go test -race ./internal/engine`; the report rings' atomics are the
-// only synchronization between shard workers and the emitter.
-func TestEvictionStormExactlyOnce(t *testing.T) {
+// evictionStorm drives cfg's engine through two waves of concurrently fed
+// flows — the second starting past the first's TTL horizon, so its packets
+// set off a storm of first-wave evictions on every shard at once, through
+// deliberately tiny report rings — finishes the engine and returns it with
+// the flow count.
+func evictionStorm(t *testing.T, cfg engine.Config) (*engine.Engine, int) {
+	t.Helper()
 	tm, sm := models(t)
-	const shards = 4
 	flows := 16
 	if race.Enabled {
 		flows = 8
 	}
-	seen := make(map[string]int)
-	eng := engine.New(engine.Config{
-		Shards: shards, BatchSize: 8, QueueDepth: 4,
-		ReportQueue: 2, // tiny rings so the storm exercises backpressure
-		StreamOnly:  true,
-		Sink: func(r *core.SessionReport) {
-			// Borrowed report: the key is copied out, the pointer dropped.
-			seen[r.Flow.Key.String()]++
-		},
-		Pipeline: core.Config{FlowTTL: 45 * time.Second, SweepInterval: 5 * time.Second},
-	}, tm, sm)
+	cfg.BatchSize, cfg.QueueDepth = 8, 4
+	cfg.ReportQueue = 2 // tiny rings so the storm exercises backpressure
+	cfg.StreamOnly = true
+	cfg.Pipeline = core.Config{FlowTTL: 45 * time.Second, SweepInterval: 5 * time.Second}
+	eng := engine.New(cfg, tm, sm)
 
 	base := time.Date(2026, 3, 3, 11, 0, 0, 0, time.UTC)
 	replayWave := func(lo, hi int, start time.Time) {
@@ -160,11 +153,24 @@ func TestEvictionStormExactlyOnce(t *testing.T) {
 		wg.Wait()
 		waitConsumed(t, eng) // the next wave's sweeps must not overtake this wave's queued tails
 	}
-	// Wave two starts past wave one's TTL horizon, so its packets drive a
-	// storm of first-wave evictions on every shard at once.
 	replayWave(0, flows/2, base)
 	replayWave(flows/2, flows, base.Add(90*time.Second))
 	eng.Finish()
+	return eng, flows
+}
+
+// TestEvictionStormExactlyOnce floods every shard with concurrently
+// evicting flows and asserts the end-to-end exactly-once invariant: every
+// flow's report crosses the emitter exactly once — none lost at the rings
+// or the close protocol, none duplicated. Run under
+// `go test -race ./internal/engine`; the report rings' atomics are the
+// only synchronization between shard workers and the emitter.
+func TestEvictionStormExactlyOnce(t *testing.T) {
+	seen := make(map[string]int)
+	eng, flows := evictionStorm(t, engine.Config{
+		Shards: 4,
+		Sink:   func(r *core.SessionReport) { seen[r.Flow.Key.String()]++ },
+	})
 
 	if len(seen) != flows {
 		t.Fatalf("sink saw %d distinct flows, want %d", len(seen), flows)
@@ -178,10 +184,56 @@ func TestEvictionStormExactlyOnce(t *testing.T) {
 	if st.EmittedReports != int64(flows) {
 		t.Errorf("EmittedReports = %d, want %d", st.EmittedReports, flows)
 	}
-	if st.RecycledReports == 0 {
-		t.Error("recycle mode delivered reports but RecycledReports = 0")
+	if st.RecycledReports != 0 {
+		t.Errorf("RecycledReports = %d, want 0: reports are handed over, never recycled", st.RecycledReports)
 	}
 	if st.EvictedFlows == 0 {
 		t.Error("storm evicted nothing; the test lost its point")
+	}
+}
+
+// TestReportsOwnedAfterDelivery pins the one sink contract: a delivered
+// report belongs to the sink, under StreamOnly as in retention mode. Both
+// sinks keep the pointers they are handed beside a value copy taken at
+// delivery; after the storm and Finish every kept pointer must still read
+// as its copy (nothing wrote to it again) and no pointer may have been
+// delivered twice.
+func TestReportsOwnedAfterDelivery(t *testing.T) {
+	type kept struct {
+		ptr  *core.SessionReport
+		copy core.SessionReport
+	}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			var viaSink, viaBatch []kept
+			eng, flows := evictionStorm(t, engine.Config{
+				Shards: shards,
+				Sink:   func(r *core.SessionReport) { viaSink = append(viaSink, kept{r, *r}) },
+				BatchSink: func(rs []*core.SessionReport) {
+					for _, r := range rs {
+						viaBatch = append(viaBatch, kept{r, *r})
+					}
+				},
+			})
+			for name, got := range map[string][]kept{"Sink": viaSink, "BatchSink": viaBatch} {
+				if len(got) != flows {
+					t.Errorf("%s was handed %d reports, want %d", name, len(got), flows)
+				}
+				seen := make(map[*core.SessionReport]bool)
+				for _, k := range got {
+					if seen[k.ptr] {
+						t.Errorf("%s was handed report %p twice", name, k.ptr)
+					}
+					seen[k.ptr] = true
+					if *k.ptr != k.copy {
+						t.Errorf("%s: report of %v was rewritten after delivery:\n now  %v\n then %v",
+							name, k.copy.Flow.Key, k.ptr, &k.copy)
+					}
+				}
+			}
+			if st := eng.Stats(); st.EmittedReports != int64(flows) {
+				t.Errorf("EmittedReports = %d, want %d", st.EmittedReports, flows)
+			}
+		})
 	}
 }

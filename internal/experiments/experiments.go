@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the built-in substrates. Each experiment is one function
 // returning a Result whose String method renders the same rows/series the
-// paper reports; cmd/experiments prints them all and bench_test.go times
-// them. Absolute numbers come from the synthetic substrate and differ from
+// paper reports; All lists them, cmd/experiments prints that list and
+// bench_test.go times its entries. Absolute numbers come from the synthetic substrate and differ from
 // the authors' testbed; each Result's Notes carry the paper's figure for the
 // shape comparison.
 package experiments

@@ -19,20 +19,63 @@ func tinyOptions() Options {
 	}
 }
 
+// tinyInputs and rendered are shared by every test, so per test binary the
+// corpus is generated, the fleet simulated and each entry of All rendered
+// once.
 var (
-	tinyCorpus *Corpus
+	tinyInputs = &Inputs{Opts: tinyOptions()}
+	rendered   = map[string]*Result{}
 )
 
-func corpus(t testing.TB) *Corpus {
+// result renders the entry of All called id at tinyOptions().
+func result(t *testing.T, id string) *Result {
 	t.Helper()
-	if tinyCorpus == nil {
-		tinyCorpus = NewCorpus(tinyOptions())
+	if r := rendered[id]; r != nil {
+		return r
 	}
-	return tinyCorpus
+	for _, e := range All() {
+		if e.ID == id {
+			r, err := e.Run(tinyInputs)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			rendered[id] = r
+			return r
+		}
+	}
+	t.Fatalf("All has no entry %q", id)
+	return nil
+}
+
+// TestGoldens pins the whole reproduction: every entry of All, rendered at
+// tinyOptions(), must equal testdata/<id>.txt byte for byte. The files were
+// rendered by the code of the commit before All existed (figure-11/12/13
+// and field-validation by the commit before fleet moved onto
+// core.Accounting, and they have not moved since), so a change to features,
+// mlkit, gamesim, stageclass, qoe or fleet that shifts any table or figure
+// fails here rather than in a hand-run cmp of cmd/experiments' stdout.
+func TestGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains forests and simulates a fleet")
+	}
+	for _, e := range All() {
+		r := result(t, e.ID)
+		if r.ID != e.ID {
+			t.Errorf("All lists %q, its result calls itself %q", e.ID, r.ID)
+		}
+		name := strings.ReplaceAll(strings.ToLower(e.ID), " ", "-") + ".txt"
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.String(); got != string(want) {
+			t.Errorf("%s differs from testdata/%s:\n got:\n%s\nwant:\n%s", e.ID, name, got, want)
+		}
+	}
 }
 
 func TestTable1(t *testing.T) {
-	r := Table1(tinyOptions())
+	r := result(t, "Table 1")
 	if len(r.Table.Rows) != 13 {
 		t.Fatalf("%d rows", len(r.Table.Rows))
 	}
@@ -42,14 +85,14 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	r := Table2(tinyOptions())
+	r := result(t, "Table 2")
 	if len(r.Table.Rows) != 8 {
 		t.Fatalf("%d rows, want 8 profile rows", len(r.Table.Rows))
 	}
 }
 
 func TestFigure3(t *testing.T) {
-	r := Figure3(tinyOptions())
+	r := result(t, "Figure 3")
 	if len(r.Table.Rows) != 4 {
 		t.Fatalf("%d rows", len(r.Table.Rows))
 	}
@@ -64,14 +107,14 @@ func TestFigure3(t *testing.T) {
 }
 
 func TestFigure4(t *testing.T) {
-	r := Figure4(tinyOptions())
+	r := result(t, "Figure 4")
 	if len(r.Table.Rows) < 12 {
 		t.Fatalf("%d rows", len(r.Table.Rows))
 	}
 }
 
 func TestFigure5(t *testing.T) {
-	r := Figure5(tinyOptions())
+	r := result(t, "Figure 5")
 	if len(r.Table.Rows) != 2 {
 		t.Fatalf("%d rows", len(r.Table.Rows))
 	}
@@ -85,13 +128,8 @@ func TestFigure8Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains forests per sweep point")
 	}
-	c := corpus(t)
-	// Shrink the sweep by reusing the standard function; it covers 24
-	// points — acceptable at tiny sizes.
-	r, err := Figure8(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The standard sweep covers 24 points — acceptable at tiny sizes.
+	r := result(t, "Figure 8")
 	if len(r.Table.Rows) != 24 {
 		t.Fatalf("%d sweep rows", len(r.Table.Rows))
 	}
@@ -101,18 +139,11 @@ func TestTable3AndFigure9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains forests")
 	}
-	c := corpus(t)
-	r, err := Table3(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "Table 3")
 	if len(r.Table.Rows) != 13 {
 		t.Fatalf("%d rows", len(r.Table.Rows))
 	}
-	r9, err := Figure9(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r9 := result(t, "Figure 9")
 	if len(r9.Table.Rows) != 51 {
 		t.Fatalf("%d importance rows", len(r9.Table.Rows))
 	}
@@ -122,50 +153,28 @@ func TestFigure10Table4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains forests per sweep point")
 	}
-	c := corpus(t)
-	r, err := Figure10(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "Figure 10")
 	if len(r.Table.Rows) != 20 {
 		t.Fatalf("%d sweep rows", len(r.Table.Rows))
 	}
-	r4, err := Table4(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r4 := result(t, "Table 4")
 	if len(r4.Table.Rows) != 6 {
 		t.Fatalf("%d rows", len(r4.Table.Rows))
 	}
 }
 
-// TestFieldExperiments holds the §5 tables to the bytes the commit before
-// fleet moved onto core.Accounting rendered at tinyOptions()
-// (testdata/parent-*.txt): the field figures come from the per-slot step the
-// tap runs, and they did not move.
+// TestFieldExperiments: the field run simulates the fleet the options ask
+// for (its tables are pinned by TestGoldens).
 func TestFieldExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a fleet")
 	}
-	c := corpus(t)
-	fr, err := NewFieldRun(c)
+	fr, err := tinyInputs.FieldRun()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fr.Records) != c.Opts.FleetSessions {
+	if len(fr.Records) != fr.Opts.FleetSessions {
 		t.Fatalf("%d records", len(fr.Records))
-	}
-	for name, r := range map[string]*Result{
-		"figure11": Figure11(fr), "figure12": Figure12(fr), "figure13": Figure13(fr),
-		"field-validation": FieldValidation(fr),
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", "parent-"+name+".txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.String(); got != string(want) {
-			t.Errorf("%s differs from the parent commit's table:\n got:\n%s\nwant:\n%s", r.ID, got, want)
-		}
 	}
 }
 
@@ -173,18 +182,11 @@ func TestTable5Figure15(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains forests")
 	}
-	c := corpus(t)
-	r5, err := Table5(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r5 := result(t, "Table 5")
 	if len(r5.Table.Rows) != 9 {
 		t.Fatalf("%d transition rows", len(r5.Table.Rows))
 	}
-	r15, err := Figure15(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r15 := result(t, "Figure 15")
 	if len(r15.Table.Rows) == 0 {
 		t.Fatal("empty tuning table")
 	}
@@ -194,10 +196,7 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains forests")
 	}
-	r, err := Ablations(corpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "Ablations")
 	if len(r.Table.Rows) != 7 {
 		t.Fatalf("%d ablation rows", len(r.Table.Rows))
 	}
@@ -221,10 +220,7 @@ func TestFigure14(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains many models")
 	}
-	r, err := Figure14(corpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result(t, "Figure 14")
 	// 9 RF + 6 SVM + 6 KNN rows.
 	if len(r.Table.Rows) != 21 {
 		t.Fatalf("%d tuning rows", len(r.Table.Rows))

@@ -101,15 +101,15 @@ func TestPeakBitrateOrdering(t *testing.T) {
 }
 
 func TestLaunchSignatureDeterministic(t *testing.T) {
-	a := LaunchSignature(TitleByID(GenshinImpact))
-	b := LaunchSignature(TitleByID(GenshinImpact))
+	a := launchSigFor(TitleByID(GenshinImpact))
+	b := launchSigFor(TitleByID(GenshinImpact))
 	if a != b {
 		t.Error("signature not cached/deterministic")
 	}
 	if a.Duration() < 30*time.Second || a.Duration() > 75*time.Second {
 		t.Errorf("launch duration = %v, want tens of seconds", a.Duration())
 	}
-	c := LaunchSignature(TitleByID(Fortnite))
+	c := launchSigFor(TitleByID(Fortnite))
 	if len(c.segs) == len(a.segs) {
 		// Not necessarily an error, but the segment *parameters* must differ.
 		same := true

@@ -77,10 +77,6 @@ func launchSigFor(t Title) *LaunchSig {
 	return sig
 }
 
-// LaunchSignature exposes the deterministic signature of a title, mainly for
-// tests and for the Fig 3 experiment.
-func LaunchSignature(t Title) *LaunchSig { return launchSigFor(t) }
-
 // GenerateLaunch emits the downstream and upstream payload records of the
 // first `detail` of a session of title t: the full launch stage (with the
 // title's signature) followed, if detail is longer, by early idle-stage

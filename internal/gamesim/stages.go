@@ -40,18 +40,6 @@ var patternModels = map[Pattern]patternModel{
 	},
 }
 
-// TransitionProbabilities returns the Fig 5 event-level transition
-// probabilities of a pattern as a matrix indexed [from][to] over
-// (idle, active, passive).
-func TransitionProbabilities(p Pattern) [3][3]float64 {
-	m := patternModels[p]
-	return [3][3]float64{
-		{0, m.idleToActive, 1 - m.idleToActive},
-		{1 - m.activeToPassive, 0, m.activeToPassive},
-		{1 - m.passiveToActive, m.passiveToActive, 0},
-	}
-}
-
 // GenerateStages builds the ground-truth stage timeline of one session of
 // title t lasting roughly sessionLen: the launch stage (the title's launch
 // signature duration) followed by a semi-Markov walk over idle, active and

@@ -2,8 +2,8 @@
 // the traffic-classification models of the paper: CART decision trees,
 // random forests, support vector machines (linear and RBF), and k-nearest
 // neighbours, together with the supporting pieces — feature scaling,
-// stratified splits, k-fold cross validation, variation-based data
-// augmentation (§4.4) and permutation importance (Fig 9 / Table 5).
+// stratified splits, variation-based data augmentation (§4.4) and
+// permutation importance (Fig 9 / Table 5).
 //
 // Everything is seeded explicitly; given the same seed, training and
 // evaluation are bit-for-bit reproducible.
@@ -142,41 +142,6 @@ func StratifiedSplit(d *Dataset, testFrac float64, seed int64) (train, test *Dat
 		trainIdx = append(trainIdx, idx[nTest:]...)
 	}
 	return d.Subset(trainIdx), d.Subset(testIdx), nil
-}
-
-// KFold returns k stratified folds as (train, test) index pairs. Each sample
-// appears in exactly one test fold.
-func KFold(d *Dataset, k int, seed int64) (trains, tests []*Dataset, err error) {
-	if d.NumSamples() == 0 {
-		return nil, nil, ErrEmptyDataset
-	}
-	if k < 2 || k > d.NumSamples() {
-		return nil, nil, fmt.Errorf("mlkit: k=%d invalid for %d samples", k, d.NumSamples())
-	}
-	rng := rand.New(rand.NewSource(seed))
-	byClass := make(map[int][]int)
-	for i, y := range d.Y {
-		byClass[y] = append(byClass[y], i)
-	}
-	folds := make([][]int, k)
-	for c := 0; c < d.NumClasses(); c++ {
-		idx := byClass[c]
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for i, j := range idx {
-			folds[i%k] = append(folds[i%k], j)
-		}
-	}
-	for f := 0; f < k; f++ {
-		var trainIdx []int
-		for g := 0; g < k; g++ {
-			if g != f {
-				trainIdx = append(trainIdx, folds[g]...)
-			}
-		}
-		trains = append(trains, d.Subset(trainIdx))
-		tests = append(tests, d.Subset(folds[f]))
-	}
-	return trains, tests, nil
 }
 
 // Augment synthesizes additional samples by variation: each synthetic sample

@@ -86,27 +86,6 @@ func TestStratifiedSplitErrors(t *testing.T) {
 	}
 }
 
-func TestKFoldPartition(t *testing.T) {
-	d := blobs(2, 2, 25, 1, 3)
-	trains, tests, err := KFold(d, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trains) != 5 || len(tests) != 5 {
-		t.Fatalf("got %d/%d folds", len(trains), len(tests))
-	}
-	total := 0
-	for f := range tests {
-		total += tests[f].NumSamples()
-		if trains[f].NumSamples()+tests[f].NumSamples() != d.NumSamples() {
-			t.Errorf("fold %d: sizes do not add up", f)
-		}
-	}
-	if total != d.NumSamples() {
-		t.Errorf("test folds cover %d samples, want %d", total, d.NumSamples())
-	}
-}
-
 func TestAugmentBalancesClasses(t *testing.T) {
 	d := &Dataset{}
 	rng := rand.New(rand.NewSource(5))
@@ -447,7 +426,7 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 	if err := SaveForest(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadForest(&buf)
+	g, err := LoadForest(&buf, d.NumFeatures())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +446,7 @@ func TestLoadForestRejectsGarbage(t *testing.T) {
 		`{"format":"gamelens-forest-v1","num_classes":2,"trees":[{"nodes":[{"f":0,"t":1,"l":5,"r":6}]}]}`,
 	}
 	for i, s := range cases {
-		if _, err := LoadForest(bytes.NewReader([]byte(s))); err == nil {
+		if _, err := LoadForest(bytes.NewReader([]byte(s)), 4); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
@@ -509,38 +488,6 @@ func BenchmarkForestPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Predict(d.X[i%d.NumSamples()])
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	d := blobs(3, 4, 30, 0.8, 79)
-	accs, err := CrossValidate(d, 5, 3, func(train *Dataset) (Classifier, error) {
-		return FitTree(train, TreeConfig{MaxDepth: 8})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 5 {
-		t.Fatalf("%d folds", len(accs))
-	}
-	mean, std := MeanStd(accs)
-	if mean < 0.9 {
-		t.Errorf("CV mean = %v on separable blobs", mean)
-	}
-	if std < 0 || std > 0.2 {
-		t.Errorf("CV std = %v", std)
-	}
-	if _, err := CrossValidate(&Dataset{}, 3, 1, nil); err == nil {
-		t.Error("empty dataset accepted")
-	}
-}
-
-func TestMeanStdEdge(t *testing.T) {
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Error("empty input")
-	}
-	if m, s := MeanStd([]float64{2}); m != 2 || s != 0 {
-		t.Errorf("single value: %v %v", m, s)
 	}
 }
 

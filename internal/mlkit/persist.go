@@ -54,8 +54,14 @@ func SaveForest(w io.Writer, f *Forest) error {
 	return nil
 }
 
-// LoadForest reads a forest saved by SaveForest.
-func LoadForest(r io.Reader) (*Forest, error) {
+// LoadForest reads a forest saved by SaveForest for inference over
+// width-feature vectors. The document is untrusted: every shape inference
+// relies on is checked here, so a forest that loads cannot hang or panic a
+// prediction. treeBuilder.build appends a split before its children, so
+// every saved tree satisfies parent < left, right < len(nodes) — which is
+// also what makes every walk end in a leaf — and gives every leaf a full
+// num_classes-wide distribution; a document that does not is rejected.
+func LoadForest(r io.Reader, width int) (*Forest, error) {
 	var in forestJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("mlkit: decoding forest: %w", err)
@@ -68,31 +74,28 @@ func LoadForest(r io.Reader) (*Forest, error) {
 	}
 	f := &Forest{numClasses: in.NumClasses}
 	for ti, tj := range in.Trees {
+		if len(tj.Nodes) == 0 {
+			return nil, fmt.Errorf("mlkit: tree %d has no nodes", ti)
+		}
 		t := &Tree{numClasses: in.NumClasses, nodes: make([]treeNode, len(tj.Nodes))}
 		for i, n := range tj.Nodes {
-			if n.Feature >= 0 && (n.Left <= 0 && n.Right <= 0) {
-				return nil, fmt.Errorf("mlkit: tree %d node %d: split without children", ti, i)
-			}
-			if n.Left >= len(tj.Nodes) || n.Right >= len(tj.Nodes) {
-				return nil, fmt.Errorf("mlkit: tree %d node %d: child out of range", ti, i)
-			}
-			node := treeNode{
-				Feature: int32(n.Feature), Threshold: n.Threshold,
-				Left: int32(n.Left), Right: int32(n.Right),
-			}
-			if n.Feature < 0 {
-				if len(n.Dist) > in.NumClasses {
+			switch {
+			case n.Feature == -1:
+				if len(n.Dist) != in.NumClasses {
 					return nil, fmt.Errorf("mlkit: tree %d node %d: %d-class leaf in %d-class forest", ti, i, len(n.Dist), in.NumClasses)
 				}
-				// Flatten into the tree's contiguous backing array, padding
-				// short rows (models saved before class padding) with zeros.
-				node.dist = int32(len(t.dists))
+				t.nodes[i] = treeNode{Feature: -1, dist: int32(len(t.dists))}
 				t.dists = append(t.dists, n.Dist...)
-				for pad := len(n.Dist); pad < in.NumClasses; pad++ {
-					t.dists = append(t.dists, 0)
+			case n.Feature < 0 || n.Feature >= width:
+				return nil, fmt.Errorf("mlkit: tree %d node %d: split on feature %d of a %d-feature vector", ti, i, n.Feature, width)
+			case n.Left <= i || n.Left >= len(tj.Nodes) || n.Right <= i || n.Right >= len(tj.Nodes):
+				return nil, fmt.Errorf("mlkit: tree %d node %d: children %d, %d outside (%d, %d)", ti, i, n.Left, n.Right, i, len(tj.Nodes))
+			default:
+				t.nodes[i] = treeNode{
+					Feature: int32(n.Feature), Threshold: n.Threshold,
+					Left: int32(n.Left), Right: int32(n.Right),
 				}
 			}
-			t.nodes[i] = node
 		}
 		f.Trees = append(f.Trees, t)
 	}

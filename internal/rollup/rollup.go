@@ -140,7 +140,7 @@ func ClientAddr(f *flowdetect.Flow) netip.Addr {
 }
 
 // FromReport distills one pipeline/engine session report into an Entry. A
-// report with a zero End (built straight from FlowSession.ReportInto without
+// report with a zero End (built straight from FlowSession.Report without
 // finalization) falls back to the flow's last-seen timestamp.
 func FromReport(r *core.SessionReport) Entry {
 	e := Entry{

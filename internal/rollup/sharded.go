@@ -106,9 +106,8 @@ func (s *Sharded) Observe(e Entry) {
 // ObserveReports distills one batch of session reports and folds each
 // shard's share under a single lock acquisition (Rollup.ObserveBatch) —
 // the engine BatchSink fast path (pass the method value:
-// engine.Config{BatchSink: s.ObserveReports}). The reports are only read, never
-// retained, so it composes with the engine's recycle mode. Steady state
-// allocates nothing: the per-shard entry scratch is reused across calls.
+// engine.Config{BatchSink: s.ObserveReports}). Steady state allocates
+// nothing: the per-shard entry scratch is reused across calls.
 // Single-goroutine (see the type comment).
 func (s *Sharded) ObserveReports(reports []*core.SessionReport) {
 	for i := range s.scratch {

@@ -196,7 +196,7 @@ func (s *Store) gcLocked() error {
 		below, _ := slices.BinarySearch(starts, bound)
 		starts = starts[:below]
 		if len(starts) == 0 {
-			continue // nothing to reclaim; don't churn the manifest
+			continue // nothing to collect; don't churn the manifest
 		}
 		// Never advance past a partition whose compacted successor is
 		// not durable: clamp the watermark down to that period's start.

@@ -184,11 +184,6 @@ func (c *Classifier) ClassifyWith(launch []trace.Pkt, sc *Scratch) Result {
 	return c.Decide(&sc.acc, sc)
 }
 
-// ClassifyVector predicts from a precomputed attribute vector.
-func (c *Classifier) ClassifyVector(x []float64) Result {
-	return c.fromProbs(c.model.PredictProba(x))
-}
-
 // fromProbs reduces a class probability vector to a Result.
 func (c *Classifier) fromProbs(probs []float64) Result {
 	best, conf := 0, 0.0
