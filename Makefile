@@ -63,13 +63,14 @@ allocgate:
 	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/titleclass ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/packet ./internal/engine
 
 # The report-path allocation pins, same plain-build rule as allocgate: one
-# full emitter drain — shard report rings → Sink + BatchSink → sharded
-# rollup fold — and one Rollup.ObserveBatch fold must both measure
-# 0 allocs/op, so what a report costs stays the one struct its finalization
-# allocates: a regression that puts an allocation on the delivery path fails
-# CI by name rather than as a B/op drift in the bench trajectory.
+# full emitter drain — shard report rings → Sink + BatchSink → the window's
+# one-lock Rollup.ObserveReports fold — and the Rollup.ObserveReports and
+# Rollup.ObserveBatch folds on their own must each measure 0 allocs/op, so
+# what a report costs stays the one struct its finalization allocates: a
+# regression that puts an allocation on the delivery path fails CI by name
+# rather than as a B/op drift in the bench trajectory.
 sinkgate:
-	$(GO) test -run 'TestEmitterDrainAllocs|TestRollupObserveBatchAllocs' -count=1 ./internal/engine ./internal/rollup
+	$(GO) test -run 'TestEmitterDrainAllocs|TestRollupObserveReportsAllocs|TestRollupObserveBatchAllocs' -count=1 ./internal/engine ./internal/rollup
 
 # A few seconds of native fuzzing per target, each on a differential
 # property whose seed corpus also runs as a plain test in every `go test`;

@@ -240,7 +240,7 @@ func BenchmarkTrainDefaultModels(b *testing.B) {
 	}
 }
 
-// --- Sharded engine scaling ---
+// --- Engine shard scaling ---
 
 var (
 	benchModelsOnce sync.Once
@@ -392,7 +392,7 @@ func BenchmarkSteadyState(b *testing.B) {
 			b.ResetTimer()
 			var emitted int64
 			for i := 0; i < b.N; i++ {
-				ru := NewShardedRollup(shards, RollupConfig{Window: time.Hour, Buckets: 12})
+				ru := NewRollup(RollupConfig{Window: time.Hour, Buckets: 12})
 				eng := NewEngine(EngineConfig{
 					Shards:     shards,
 					BatchSink:  ru.ObserveReports,

@@ -136,7 +136,7 @@ func TestFaultGateRunCheckpointRoundTrip(t *testing.T) {
 	// And a second run recovers from it: the resolver resumes the restored
 	// window rather than starting cold.
 	injectFS(t, persist.OS)
-	ru, _, resumed, err := resolveRollup(ckpt, 0, 1, false)
+	ru, _, resumed, err := resolveRollup(ckpt, 0, false)
 	if err != nil || !resumed {
 		t.Fatalf("round trip resume failed: resumed=%v err=%v", resumed, err)
 	}

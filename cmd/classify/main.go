@@ -24,21 +24,18 @@
 // With -rollup, every report also feeds a per-subscriber sliding window
 // (session counts, per-title share, stage minutes, objective-vs-effective
 // QoE, throughput/QoE-proxy percentiles), printed as an operator dashboard
-// at end of run. The window runs sharded (-rollup-shards, default matching
-// the engine's shard count): reports reach it through the engine's
-// batched emitter drain, shard-local rollups aggregate with zero shared
-// state, and the printed dashboard and checkpoint are the merged view —
-// byte-identical to an unsharded run.
+// at end of run. Reports reach the window through the engine's batched
+// emitter drain, one lock acquisition per drained run.
 //
 // # Durability
 //
 // -checkpoint makes the window durable. Startup runs a recovery scan over
 // the checkpoint path: the newest valid candidate — the base file or any
 // generation-numbered sibling (FILE.gen-N) left by a crashed run — is
-// restored (a restarted monitor resumes its aggregations, unsharded — a
-// checkpoint cannot be re-partitioned), corrupt candidates are quarantined
-// aside under their own name (the base file as FILE.corrupt-K, a generation
-// as FILE.gen-N.corrupt-K, K the first free number, so repeated corruption
+// restored (a restarted monitor resumes its aggregations, on the same code
+// path as a cold start), corrupt candidates are quarantined aside under
+// their own name (the base file as FILE.corrupt-K, a generation as
+// FILE.gen-N.corrupt-K, K the first free number, so repeated corruption
 // keeps every copy) and logged, temp files a crashed write left behind
 // (FILE.tmp-*, FILE.gen-N.tmp-*) are removed, and the scan degrades to the
 // previous generation instead of crash-looping. At end of run the window
@@ -84,7 +81,7 @@
 //
 // Usage:
 //
-//	classify [-title-model FILE] [-train-seed N] [-lag MS] [-loss FRAC] [-shards N] [-flow-ttl DUR] [-rollup DUR] [-rollup-shards N] [-checkpoint FILE] [-checkpoint-every N] [-rollup-force] [-archive DIR] [-retain-hour DUR] [-retain-day DUR] [-retain-week DUR] capture.pcap
+//	classify [-title-model FILE] [-train-seed N] [-lag MS] [-loss FRAC] [-shards N] [-flow-ttl DUR] [-rollup DUR] [-checkpoint FILE] [-checkpoint-every N] [-rollup-force] [-archive DIR] [-retain-hour DUR] [-retain-day DUR] [-retain-week DUR] capture.pcap
 package main
 
 import (
@@ -95,7 +92,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -111,7 +107,7 @@ import (
 // and the package comment's Usage section quotes it. A flag added here must
 // be added to the flag set below (and vice versa) or the mismatch is
 // visible in -h output next to PrintDefaults.
-const usageLine = "usage: classify [-title-model FILE] [-train-seed N] [-lag MS] [-loss FRAC] [-shards N] [-flow-ttl DUR] [-rollup DUR] [-rollup-shards N] [-checkpoint FILE] [-checkpoint-every N] [-rollup-force] [-archive DIR] [-retain-hour DUR] [-retain-day DUR] [-retain-week DUR] capture.pcap"
+const usageLine = "usage: classify [-title-model FILE] [-train-seed N] [-lag MS] [-loss FRAC] [-shards N] [-flow-ttl DUR] [-rollup DUR] [-checkpoint FILE] [-checkpoint-every N] [-rollup-force] [-archive DIR] [-retain-hour DUR] [-retain-day DUR] [-retain-week DUR] capture.pcap"
 
 // errUsage marks a command-line error: main exits 2 without a further
 // message (the flag set already printed one).
@@ -162,7 +158,6 @@ func run(args []string, stdout io.Writer) error {
 	shards := fs.Int("shards", 0, "analysis worker shards (0 = all cores)")
 	flowTTL := fs.Duration("flow-ttl", 0, "evict flows idle this long in capture time and print their reports as they expire (0 = report everything at the end)")
 	rollupWin := fs.Duration("rollup", 0, "maintain per-subscriber sliding-window aggregates over this window of capture time and print the dashboard at the end (0 = off unless -checkpoint is set, then 1h)")
-	rollupShards := fs.Int("rollup-shards", 0, "shard-local rollup fan-out (0 = match the engine's shard count; forced to 1 when resuming a checkpoint)")
 	checkpoint := fs.String("checkpoint", "", "rollup checkpoint file: recovered at startup (newest valid generation; corrupt candidates quarantined), atomically rewritten at end of run")
 	ckptEvery := fs.Int("checkpoint-every", 0, "also write a generation-numbered checkpoint every N window-bucket rotations of capture time (0 = final checkpoint only; requires -checkpoint)")
 	rollupForce := fs.Bool("rollup-force", false, "resume from a checkpoint whose window geometry conflicts with -rollup (the checkpoint's geometry wins)")
@@ -216,18 +211,11 @@ func run(args []string, stdout io.Writer) error {
 		log.Printf("loaded title model from %s", *modelPath)
 	}
 
-	// The per-subscriber rollup window, sharded to match the engine unless
-	// resumed from a checkpoint (which cannot be re-partitioned).
-	var ru *gamelens.ShardedRollup
+	// The per-subscriber rollup window: recovered from a checkpoint, or new.
+	var ru *gamelens.Rollup
 	var recInfo rollup.RecoverInfo
 	if *rollupWin > 0 || *checkpoint != "" {
-		nShards := *rollupShards
-		if nShards <= 0 {
-			if nShards = *shards; nShards <= 0 {
-				nShards = runtime.GOMAXPROCS(0)
-			}
-		}
-		resolved, info, resumed, err := resolveRollup(*checkpoint, *rollupWin, nShards, *rollupForce)
+		resolved, info, resumed, err := resolveRollup(*checkpoint, *rollupWin, *rollupForce)
 		if err != nil {
 			return err
 		}
@@ -275,7 +263,7 @@ func run(args []string, stdout io.Writer) error {
 		},
 	}
 	// The rollup (and the archive) always ride the emitter's batched drain:
-	// one lock acquisition per drained shard batch instead of one per report.
+	// one lock acquisition per drained run instead of one per report.
 	switch {
 	case ru != nil && arch != nil:
 		cfg.BatchSink = func(reports []*gamelens.SessionReport) {
@@ -379,14 +367,7 @@ readLoop:
 		}
 	}
 	if ru != nil {
-		// Merge the shard-local windows once; the dashboard and the
-		// checkpoint both come off the merged view, byte-identical to what
-		// an unsharded run would have produced.
-		merged, err := ru.Merged()
-		if err != nil {
-			return fmt.Errorf("merging rollup shards: %v", err)
-		}
-		printRollup(stdout, merged, ru.NumShards())
+		printRollup(stdout, ru)
 		if cp != nil {
 			if err := cp.Final(); err != nil {
 				return fmt.Errorf("%w: %w", errCheckpointWrite, err)
@@ -412,11 +393,10 @@ readLoop:
 }
 
 // resolveRollup builds the monitor's rollup window: recovered from the
-// newest valid checkpoint candidate when path names one (wrapped as a
-// single-shard front-end — a checkpoint cannot be re-partitioned), fresh
-// and sharded across shards otherwise. Corrupt candidates are quarantined
-// by the scan (info.Quarantined); if every candidate was corrupt the error
-// surfaces rather than silently starting cold over lost data.
+// newest valid checkpoint candidate when path names one, new otherwise.
+// Corrupt candidates are quarantined by the scan (info.Quarantined); if
+// every candidate was corrupt the error surfaces rather than silently
+// starting cold over lost data.
 // A checkpoint carries its own window geometry (span and bucket count);
 // resuming it under a conflicting -rollup would silently re-bucket the
 // restored history wrong, so a mismatch between the checkpoint's geometry
@@ -425,9 +405,11 @@ readLoop:
 // resumed result reports whether a checkpoint was restored; info carries
 // the recovery scan's findings either way (info.NextGen seeds the
 // Checkpointer's generation numbering).
-func resolveRollup(path string, window time.Duration, shards int, force bool) (ru *gamelens.ShardedRollup, info rollup.RecoverInfo, resumed bool, err error) {
+func resolveRollup(path string, window time.Duration, force bool) (ru *gamelens.Rollup, info rollup.RecoverInfo, resumed bool, err error) {
+	info.NextGen = 1
 	if path != "" {
-		restored, info, err := rollup.Recover(ckptFS, path)
+		var restored *gamelens.Rollup
+		restored, info, err = rollup.Recover(ckptFS, path)
 		if err != nil {
 			return nil, info, false, fmt.Errorf("recovering rollup: %w", err)
 		}
@@ -444,15 +426,10 @@ func resolveRollup(path string, window time.Duration, shards int, force bool) (r
 						window, got.Window, got.Buckets)
 				}
 			}
-			if shards > 1 {
-				log.Printf("resuming from a checkpoint: rollup runs unsharded (-rollup-shards %d ignored)", shards)
-			}
-			return gamelens.ShardedRollupFrom(restored), info, true, nil
+			return restored, info, true, nil
 		}
-		return gamelens.NewShardedRollup(shards, gamelens.RollupConfig{Window: window}), info, false, nil
 	}
-	info.NextGen = 1
-	return gamelens.NewShardedRollup(shards, gamelens.RollupConfig{Window: window}), info, false, nil
+	return gamelens.NewRollup(gamelens.RollupConfig{Window: window}), info, false, nil
 }
 
 // printReport renders one session report; in streaming mode it is (part of)
@@ -464,11 +441,11 @@ func printReport(w io.Writer, rep *gamelens.SessionReport) {
 		rep.StageMinutes[trace.StageIdle])
 }
 
-// printRollup renders the per-subscriber dashboard for the merged window.
-func printRollup(w io.Writer, ru *gamelens.Rollup, shards int) {
+// printRollup renders the per-subscriber dashboard for the window.
+func printRollup(w io.Writer, ru *gamelens.Rollup) {
 	aggs := ru.Subscribers()
-	fmt.Fprintf(w, "\nper-subscriber window (clock %v, %d subscribers, %d rollup shards):\n",
-		ru.Clock().Format(time.RFC3339), len(aggs), shards)
+	fmt.Fprintf(w, "\nper-subscriber window (clock %v, %d subscribers):\n",
+		ru.Clock().Format(time.RFC3339), len(aggs))
 	for _, a := range aggs {
 		win := a.Window
 		mbps := win.ThroughputPercentiles()

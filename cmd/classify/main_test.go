@@ -39,14 +39,14 @@ func TestResolveRollupGeometryMismatch(t *testing.T) {
 	ckpt := checkpointWith(t, gamelens.RollupConfig{Window: 30 * time.Minute, Buckets: 12})
 
 	// Mismatched -rollup: refused, with the override spelled out.
-	if _, _, _, err := resolveRollup(ckpt, time.Hour, 4, false); err == nil {
+	if _, _, _, err := resolveRollup(ckpt, time.Hour, false); err == nil {
 		t.Fatal("mismatched geometry resumed without -rollup-force")
 	} else if !strings.Contains(err.Error(), "-rollup-force") {
 		t.Errorf("refusal does not name the override flag: %v", err)
 	}
 
 	// -rollup-force: resumes, and the checkpoint's geometry wins.
-	ru, info, resumed, err := resolveRollup(ckpt, time.Hour, 4, true)
+	ru, info, resumed, err := resolveRollup(ckpt, time.Hour, true)
 	if err != nil {
 		t.Fatalf("forced resume failed: %v", err)
 	}
@@ -56,22 +56,18 @@ func TestResolveRollupGeometryMismatch(t *testing.T) {
 	if got := ru.Config().Window; got != 30*time.Minute {
 		t.Errorf("forced resume window = %v, want the checkpoint's 30m", got)
 	}
-	// A checkpoint cannot be re-partitioned: resume ignores the shard ask.
-	if got := ru.NumShards(); got != 1 {
-		t.Errorf("resumed rollup has %d shards, want 1", got)
-	}
 	// A resumed run's first generation number comes from the recovery scan.
 	if info.NextGen != 1 {
 		t.Errorf("resume over a bare base checkpoint reports NextGen %d, want 1", info.NextGen)
 	}
 
 	// Matching -rollup: resumes without force.
-	if _, _, resumed, err := resolveRollup(ckpt, 30*time.Minute, 1, false); err != nil || !resumed {
+	if _, _, resumed, err := resolveRollup(ckpt, 30*time.Minute, false); err != nil || !resumed {
 		t.Errorf("matching geometry refused: resumed=%v err=%v", resumed, err)
 	}
 
 	// No -rollup at all: the checkpoint's geometry is simply adopted.
-	if ru, _, resumed, err := resolveRollup(ckpt, 0, 1, false); err != nil || !resumed || ru.Config().Window != 30*time.Minute {
+	if ru, _, resumed, err := resolveRollup(ckpt, 0, false); err != nil || !resumed || ru.Config().Window != 30*time.Minute {
 		t.Errorf("bare -checkpoint resume broken: resumed=%v err=%v", resumed, err)
 	}
 }
@@ -79,19 +75,15 @@ func TestResolveRollupGeometryMismatch(t *testing.T) {
 func TestResolveRollupColdStarts(t *testing.T) {
 	// Missing checkpoint file: a cold start with the requested window.
 	missing := filepath.Join(t.TempDir(), "missing.ckpt")
-	ru, _, resumed, err := resolveRollup(missing, 2*time.Hour, 4, false)
+	ru, _, resumed, err := resolveRollup(missing, 2*time.Hour, false)
 	if err != nil || resumed {
 		t.Fatalf("missing checkpoint not a cold start: resumed=%v err=%v", resumed, err)
 	}
 	if got := ru.Config().Window; got != 2*time.Hour {
 		t.Errorf("cold-start window = %v, want 2h", got)
 	}
-	// A cold start honors the -rollup-shards ask.
-	if got := ru.NumShards(); got != 4 {
-		t.Errorf("cold-start rollup has %d shards, want 4", got)
-	}
 	// No checkpoint configured at all.
-	if ru, _, resumed, err := resolveRollup("", time.Hour, 2, false); err != nil || resumed || ru == nil {
+	if ru, _, resumed, err := resolveRollup("", time.Hour, false); err != nil || resumed || ru == nil {
 		t.Errorf("checkpoint-less start broken: resumed=%v err=%v", resumed, err)
 	}
 	// A corrupt checkpoint is an error, not a silent cold start — and the
@@ -101,7 +93,7 @@ func TestResolveRollupColdStarts(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := resolveRollup(bad, time.Hour, 1, false); err == nil {
+	if _, _, _, err := resolveRollup(bad, time.Hour, false); err == nil {
 		t.Error("corrupt checkpoint resumed as if valid")
 	}
 	if _, err := os.Stat(bad + ".corrupt-0"); err != nil {
@@ -133,7 +125,7 @@ func TestResolveRollupPicksNewestGeneration(t *testing.T) {
 	mk(base, t0)                           // stale end-of-previous-run checkpoint
 	mk(base+".gen-3", t0.Add(time.Minute)) // newer: the crashed run got further
 
-	ru, info, resumed, err := resolveRollup(base, 30*time.Minute, 1, false)
+	ru, info, resumed, err := resolveRollup(base, 30*time.Minute, false)
 	if err != nil || !resumed {
 		t.Fatalf("recovery resume failed: resumed=%v err=%v", resumed, err)
 	}

@@ -21,13 +21,11 @@ import (
 // archBase is hour-span aligned for the miniature tier spans below.
 var archBase = time.Date(2026, 7, 10, 8, 0, 0, 0, time.UTC)
 
-// sealedArchive drives a store with miniature tier spans (1m hours, 4m
-// days, 12m weeks) over 10 minutes of entries and returns its directory:
-// several sealed hour partitions, at least one compacted day, and a
-// pending tail.
-func sealedArchive(t *testing.T) string {
+// miniArchive opens a store with miniature tier spans (1m hours, 4m days,
+// 12m weeks) that keeps every partition, in a fresh directory.
+func miniArchive(t *testing.T) (arch *gamelens.ArchiveStore, dir string) {
 	t.Helper()
-	dir := filepath.Join(t.TempDir(), "archive")
+	dir = filepath.Join(t.TempDir(), "archive")
 	arch, err := gamelens.OpenArchive(gamelens.ArchiveConfig{
 		Dir:        dir,
 		Spans:      [3]time.Duration{time.Minute, 4 * time.Minute, 12 * time.Minute},
@@ -38,6 +36,15 @@ func sealedArchive(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return arch, dir
+}
+
+// sealedArchive drives a miniArchive over 10 minutes of entries and returns
+// its directory: several sealed hour partitions, at least one compacted day,
+// and a pending tail.
+func sealedArchive(t *testing.T) string {
+	t.Helper()
+	arch, dir := miniArchive(t)
 	for i := 0; i < 120; i++ {
 		e := gamelens.RollupEntry{
 			Subscriber:   netip.AddrFrom4([4]byte{10, 2, 0, byte(1 + i%5)}),
@@ -222,5 +229,64 @@ func TestRollupMergeArchiveQuery(t *testing.T) {
 		if err := run(args, &sink, &sink); err == nil {
 			t.Errorf("%s: run succeeded, want error", name)
 		}
+	}
+}
+
+// TestRollupMergePartitionSpanBound pins both sides of the synthesized
+// window's bound: two hour partitions 4096 widths apart end to end fold into
+// a checkpoint that loads, and one width further the fold is refused before
+// anything is written — it used to save a 4097-bucket document that no
+// Restore (the next rollupmerge over it included) accepts.
+func TestRollupMergePartitionSpanBound(t *testing.T) {
+	// farApart seals two one-minute "hour" partitions whose starts are gap
+	// apart (a third entry pushes the clock on so the second one seals).
+	farApart := func(gap time.Duration) []string {
+		arch, dir := miniArchive(t)
+		for _, at := range []time.Duration{0, gap, gap + 3*time.Minute} {
+			arch.Observe(gamelens.RollupEntry{
+				Subscriber: netip.AddrFrom4([4]byte{10, 2, 0, 1}), End: archBase.Add(at), Title: "Fortnite", MeanDownMbps: 9,
+			})
+			if err := arch.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := arch.Final(); err != nil {
+			t.Fatal(err)
+		}
+		parts := hourParts(t, dir)
+		if len(parts) != 2 {
+			t.Fatalf("%d sealed hour partitions, want the two %v apart: %v", len(parts), gap, parts)
+		}
+		return parts
+	}
+
+	out := filepath.Join(t.TempDir(), "fleet.ckpt")
+	var stdout, stderr bytes.Buffer
+	if err := run(append([]string{"-o", out}, farApart(4095*time.Minute)...), &stdout, &stderr); err != nil {
+		t.Fatalf("fold over exactly %d buckets refused: %v", maxFleetBuckets, err)
+	}
+	fleet, err := gamelens.LoadRollup(out)
+	if err != nil {
+		t.Fatalf("fleet checkpoint at the bound does not restore: %v", err)
+	}
+	if cfg, st := fleet.Config(), fleet.Stats(); cfg.Buckets != maxFleetBuckets || st.Ingested != 2 || st.Late != 0 {
+		t.Errorf("fold at the bound: %d buckets, %+v; want %d buckets holding both sessions", cfg.Buckets, st, maxFleetBuckets)
+	}
+	if err := run([]string{"-o", filepath.Join(t.TempDir(), "next.ckpt"), out}, &stdout, &stderr); err != nil {
+		t.Errorf("rollupmerge cannot read its own fleet checkpoint: %v", err)
+	}
+
+	over := filepath.Join(t.TempDir(), "over.ckpt")
+	err = run(append([]string{"-o", over}, farApart(4096*time.Minute)...), &stdout, &stderr)
+	if err == nil {
+		t.Fatal("fold over 4097 buckets succeeded")
+	}
+	for _, want := range []string{"4097", "4096", "1m0s"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal does not name %s: %v", want, err)
+		}
+	}
+	if _, statErr := os.Stat(over); !os.IsNotExist(statErr) {
+		t.Errorf("refused fold left an output behind: %v", statErr)
 	}
 }

@@ -112,6 +112,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return runMerge(*out, fs.Args(), stdout)
 }
 
+// maxFleetBuckets is the ring resolution a checkpoint restores at most
+// (rollup.Config.Buckets documents the bound Restore enforces); a fleet
+// window synthesized past it could be written but never read back.
+const maxFleetBuckets = 4096
+
 // input is one loaded command-line input: exactly one of ckpt or part.
 type input struct {
 	path string
@@ -153,7 +158,11 @@ func runMerge(out string, paths []string, stdout io.Writer) error {
 		inputs = append(inputs, input{path: path, ckpt: tap})
 	}
 	if fleet == nil {
-		fleet = gamelens.NewRollup(partitionGeometry(inputs))
+		cfg, err := partitionGeometry(inputs)
+		if err != nil {
+			return err
+		}
+		fleet = gamelens.NewRollup(cfg)
 	}
 	for _, in := range inputs {
 		switch {
@@ -184,8 +193,9 @@ func runMerge(out string, paths []string, stdout io.Writer) error {
 // checkpoint input supplies one. The bucket width is the smallest input
 // span, and the window stretches from the earliest start to the latest end
 // (aligned to that width), so an all-partition fold never ages anything
-// out regardless of input order.
-func partitionGeometry(inputs []input) gamelens.RollupConfig {
+// out regardless of input order. A stretch of more than maxFleetBuckets
+// widths is refused: the fold would write a checkpoint nothing can load.
+func partitionGeometry(inputs []input) (gamelens.RollupConfig, error) {
 	width := time.Duration(math.MaxInt64)
 	startNs, endNs := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, in := range inputs {
@@ -205,8 +215,13 @@ func partitionGeometry(inputs []input) gamelens.RollupConfig {
 	w := int64(width)
 	startNs = rollup.FloorDiv(startNs, w) * w // partition starts below the epoch are legal
 	endNs = -rollup.FloorDiv(-endNs, w) * w
-	buckets := int((endNs - startNs) / w)
-	return gamelens.RollupConfig{Window: time.Duration(buckets) * width, Buckets: buckets}
+	buckets := (endNs - startNs) / w
+	if buckets > maxFleetBuckets {
+		return gamelens.RollupConfig{}, fmt.Errorf(
+			"partition inputs span %v at the finest input width %v: %d window buckets, and a checkpoint restores at most %d; fold a narrower range, or the coarser tier's partitions",
+			time.Duration(endNs-startNs), width, buckets, maxFleetBuckets)
+	}
+	return gamelens.RollupConfig{Window: time.Duration(buckets) * width, Buckets: int(buckets)}, nil
 }
 
 // parseRange parses the -from/-to bounds; an empty bound is unbounded.

@@ -67,16 +67,12 @@
 // EngineConfig.StreamOnly decides one thing only: whether the engine also
 // keeps the pointer so Finish can return the complete set.
 //
-// For the aggregation tier, ShardedRollup (NewShardedRollup) is the
-// matching fan-out over Rollup: N shard-local rollups with zero shared
-// state, entries hash-partitioned by subscriber address, and the merged
-// view defined as Rollup.Merge of the shards — byte-identical to a
-// single-rollup run of the same entries (checkpoints included), because
-// each session is observed by exactly one shard and merge is cell-wise
-// union-sum. Wire it to an engine with
+// The aggregation tier is one Rollup (NewRollup): the emitter is the
+// window's only writer and delivers one report per finished session, so
+// there is nothing to fan out. Wire it to an engine with
 // EngineConfig{BatchSink: ru.ObserveReports}: the emitter then folds each
-// drained run under one lock acquisition per shard batch
-// (Rollup.ObserveBatch) instead of one per report.
+// drained run under one lock acquisition instead of one per report, while
+// dashboards and checkpoints read the same window under the same lock.
 //
 // # Flow lifecycle
 //
@@ -109,9 +105,10 @@
 // per-pattern share, per-stage minutes, the objective-vs-effective QoE mix
 // — in a ring of fixed-width packet-time buckets per subscriber, so memory
 // is O(subscribers × buckets) no matter how many reports the window has
-// absorbed. Chain it into any sink with Rollup.Sink. Every bucket also
-// carries two mergeable percentile sketches (internal/sketch:
-// deterministic fixed-centroid layout, 5% relative accuracy): per-session
+// absorbed — subscribers seen within the window, that is: one whose every
+// bucket has aged out is dropped. Every bucket also carries two mergeable
+// percentile sketches (internal/sketch: deterministic fixed-centroid
+// layout, 5% relative accuracy): per-session
 // mean downstream Mbps and the continuous [0, 1] QoE proxy
 // (SessionReport.EffectiveScore), so each SubscriberAggregate answers
 // p50/p90/p99 drill-downs via its Counts' ThroughputPercentiles and
@@ -129,7 +126,7 @@
 // the union-sum of both taps' sessions (each session must be reported by
 // exactly one tap).
 //
-//	ru := gamelens.NewShardedRollup(4, gamelens.RollupConfig{Window: time.Hour})
+//	ru := gamelens.NewRollup(gamelens.RollupConfig{Window: time.Hour})
 //	eng := gamelens.NewEngine(gamelens.EngineConfig{
 //	    BatchSink:  ru.ObserveReports,
 //	    StreamOnly: true,
@@ -258,12 +255,11 @@
 //     Retention mode (no StreamOnly) also grows Finish's return slice.
 //   - Per checkpoint, partition seal and pending flush: a constant handful,
 //     whatever the number of cells. The window checkpoint is written
-//     straight out of the shards' buckets, under all their locks at once
-//     (one cut across the shards), through one append-style cell encoder
-//     into a recycled buffer — no merged copy of the window, no document
-//     tree, no reflection — and the archive's partition files and pending
-//     tail go through the same encoder. The bytes are those encoding/json
-//     wrote before (the differential tests keep that encoder as the
+//     straight out of the window's buckets, under its lock (one cut),
+//     through one append-style cell encoder into a recycled buffer — no
+//     copy of the window, no document tree, no reflection — and the
+//     archive's partition files and pending tail go through the same
+//     encoder. The bytes are those encoding/json wrote before (the differential tests keep that encoder as the
 //     reference); TestSnapshotAllocs pins the count as independent of the
 //     window's size.
 //
@@ -297,7 +293,7 @@
 //     their result to anything that outlives the call is a finding
 //     (//gamelens:retain-ok escapes a documented transfer).
 //   - //gamelens:noalloc (noalloc analyzer) marks the allocation-free
-//     steady-state set — Sketch.Add, Rollup.Observe/ObserveBatch,
+//     steady-state set — Sketch.Add, Rollup.Observe/ObserveBatch/ObserveReports,
 //     Forest.PredictProbaInto, packet.Summarize, the emitter drain —
 //     and rejects allocation-introducing constructs in them and their
 //     in-package callees (//gamelens:alloc-ok escapes a deliberate cold
@@ -393,10 +389,6 @@ type (
 	RollupEntry = rollup.Entry
 	// SubscriberAggregate is one subscriber's whole-window summary.
 	SubscriberAggregate = rollup.Aggregate
-	// ShardedRollup fans entries across N shard-local rollups — the
-	// aggregation-tier counterpart of Engine over Pipeline (see the package
-	// comment); wire its ObserveReports into EngineConfig.BatchSink.
-	ShardedRollup = rollup.Sharded
 	// ArchiveStore is the tiered historical rollup archive (the package
 	// comment's historical-archive section).
 	ArchiveStore = store.Store
@@ -511,26 +503,10 @@ func NewEngine(cfg EngineConfig, m *Models) *Engine {
 }
 
 // NewRollup builds an empty per-subscriber rollup window. The zero
-// RollupConfig keeps a one-hour window in twelve buckets.
+// RollupConfig keeps a one-hour window in twelve buckets. Wire its
+// ObserveReports into EngineConfig.BatchSink.
 func NewRollup(cfg RollupConfig) *Rollup {
 	return rollup.New(cfg)
-}
-
-// NewShardedRollup builds n empty shard-local rollups of identical
-// geometry behind one fan-out front-end (n < 1 is treated as 1). Merged
-// queries and checkpoints are byte-identical to a single rollup fed the
-// same entries, so sharded and unsharded monitors interoperate.
-func NewShardedRollup(n int, cfg RollupConfig) *ShardedRollup {
-	return rollup.NewSharded(n, cfg)
-}
-
-// ShardedRollupFrom wraps an existing Rollup — typically a checkpoint
-// restore — as a single-shard ShardedRollup, so a resumed monitor runs the
-// same code path as a fresh sharded one. A checkpoint cannot be
-// re-partitioned (it does not record which shard observed what), so resume
-// keeps one shard and the wrapped rollup's clock.
-func ShardedRollupFrom(r *Rollup) *ShardedRollup {
-	return rollup.ShardedFrom(r)
 }
 
 // LoadRollup restores a rollup from a checkpoint file written by

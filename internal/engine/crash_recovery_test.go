@@ -87,13 +87,13 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				t.Fatalf("%d reports, want %d", len(reports), flows)
 			}
 
-			// Checkpointed run: fold the reports into a sharded rollup one
-			// drain batch at a time, ticking the checkpointer after each —
+			// Checkpointed run: fold the reports into a rollup one drain
+			// batch at a time, ticking the checkpointer after each —
 			// exactly what the emitter's Checkpoint hook does live, made
 			// deterministic by driving the batches ourselves.
 			dir := t.TempDir()
 			base := filepath.Join(dir, "rollup.ckpt")
-			ru := rollup.NewSharded(shards, ckptRollupCfg)
+			ru := rollup.New(ckptRollupCfg)
 			cp := rollup.NewCheckpointer(ru, rollup.CheckpointerConfig{
 				Path: base, EveryBuckets: 1, Keep: -1, Backoff: -1,
 			})
@@ -225,7 +225,7 @@ func TestEngineCheckpointHookLive(t *testing.T) {
 
 	dir := t.TempDir()
 	base := filepath.Join(dir, "rollup.ckpt")
-	ru := rollup.NewSharded(2, ckptRollupCfg)
+	ru := rollup.New(ckptRollupCfg)
 	cp := rollup.NewCheckpointer(ru, rollup.CheckpointerConfig{
 		Path: base, EveryBuckets: 1, Keep: -1, Backoff: -1,
 	})

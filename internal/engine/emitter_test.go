@@ -48,13 +48,13 @@ func stormReports(n int) []*core.SessionReport {
 
 // TestEmitterDrainAllocs is the sinkgate pin: the steady-state emit→rollup
 // drain — pop a run off a shard's report ring, deliver it to a per-report
-// sink and a sharded-rollup batch sink — must not allocate, so what a
+// sink and a rollup batch sink — must not allocate, so what a
 // report costs is the one struct its finalization allocates.
 func TestEmitterDrainAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are only pinned without -race instrumentation")
 	}
-	ru := rollup.NewSharded(2, rollup.Config{Window: 24 * time.Hour})
+	ru := rollup.New(rollup.Config{Window: 24 * time.Hour})
 	e, s := newDrainRig(64, func(*core.SessionReport) {}, ru.ObserveReports)
 	reports := stormReports(32)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -99,11 +99,11 @@ func TestDeliverRetains(t *testing.T) {
 }
 
 // BenchmarkEmitterDrain measures the report path in isolation: ring push →
-// emitter drain → sink + sharded-rollup batch observe. The
+// emitter drain → sink + rollup batch observe. The
 // reports/s metric is the emission-side counterpart of BenchmarkSteadyState's
 // pkts/s.
 func BenchmarkEmitterDrain(b *testing.B) {
-	ru := rollup.NewSharded(4, rollup.Config{Window: 24 * time.Hour})
+	ru := rollup.New(rollup.Config{Window: 24 * time.Hour})
 	e, s := newDrainRig(256, func(*core.SessionReport) {}, ru.ObserveReports)
 	reports := stormReports(128)
 	drain := func() {

@@ -115,7 +115,7 @@ type Config struct {
 	// BatchSink, when set, receives each run of reports the emitter drains
 	// from one shard's ring — one call per drained batch instead of one per
 	// report, which is how a rollup consumer amortizes one lock
-	// acquisition per batch (rollup.Rollup.ObserveBatch). Called after
+	// acquisition per batch (rollup.Rollup.ObserveReports). Called after
 	// Sink has seen each report of the batch. The reports are handed over
 	// like Sink's; the slice itself is the emitter's drain scratch, reused
 	// for the next call.

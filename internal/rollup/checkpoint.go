@@ -16,24 +16,15 @@
 // monotonic), which keeps the document canonical and its size bounded by
 // the live window.
 //
-// Writing is in place and by appending. Rollup.Snapshot and Sharded.Snapshot
-// are one routine, snapshotViews, over one view or a Sharded's shards: it
-// takes every view's lock in slice (shard-index) order — nothing else in the
-// package holds two rollup locks at once (Merge locks tap, then receiver,
-// one at a time), so the order cannot deadlock — and holds them for the
-// encode only, which makes the document one atomic cut across the shards:
-// one clock (the newest), summed counters, every bucket judged live against
-// that clock. It then walks the subscribers, sorted by address, and streams
-// each live, non-empty bucket of each ring — oldest slot forward, which is
-// bucket order — through the one cell encoder (cell.go) into a recycled
-// buffer (persist.WriteFooted). No merged copy of the window is built, no
+// Writing is in place and by appending: Snapshot holds the rollup's lock for
+// the encode only (not the write), walks the subscribers, sorted by address,
+// and streams each live, non-empty bucket of each ring — oldest slot forward,
+// which is bucket order — through the one cell encoder (cell.go) into a
+// recycled buffer (persist.WriteFooted). No copy of the window is built, no
 // document tree, nothing is reflected over. The bytes are exactly those
 // encoding/json wrote for checkpointJSON (format gamelens-rollup-v3 did not
 // move; the differential tests and FuzzRestoreReencode hold the encoder to
-// the reflection one, which survives in encode_test.go). Writing in place
-// rests on one invariant: no address is resident in two views (a Sharded
-// hash-routes each subscriber to one shard, and nothing reaches a shard but
-// through that route). The sorted walk checks it before anything is encoded.
+// the reflection one, which survives in encode_test.go).
 //
 // Reading is persist's footed-file reader (ReadFooted for Restore's stream,
 // LoadFooted for LoadFile and the recovery scan) decoding into checkpointJSON,
@@ -88,80 +79,42 @@ type bucketJSON struct {
 	Counts Counts `json:"counts"`
 }
 
-// Snapshot writes the canonical checkpoint document to w.
+// Snapshot writes the canonical checkpoint document to w, straight out of
+// the window's own memory: the lock is held for the length of the encode
+// (not of the write), so the document is one cut — every bucket judged live
+// against the one clock it records. On any error nothing has been written
+// to w.
 func (r *Rollup) Snapshot(w io.Writer) error {
-	return snapshotViews(w, []*Rollup{r})
-}
-
-// subRef is one subscriber of one view, referenced in place.
-type subRef struct {
-	addr netip.Addr
-	sub  *subscriber
-}
-
-// snapshotViews writes the v3 checkpoint of the window the views hold
-// between them — one Rollup, or a Sharded's shards (identical geometry,
-// disjoint subscribers) — straight out of their own memory. Every view's
-// lock is taken, in slice order, for the length of the encode (not of the
-// write), so the document is one cut across all of them: its clock is the
-// newest view clock, its counters the sums, and every bucket is judged live
-// against that one clock, exactly the state Merged() would have built. On
-// any error nothing has been written to w.
-func snapshotViews(w io.Writer, views []*Rollup) error {
 	return persist.WriteFooted(w, func(dst []byte) ([]byte, error) {
-		for _, v := range views {
-			v.mu.Lock()
-		}
-		defer func() {
-			for _, v := range views {
-				v.mu.Unlock()
-			}
-		}()
-		geom := views[0] // cfg, wNs and pos are the same for every view
-		var clockNs, ingested, late int64
-		hasClock, resident := false, 0
-		for _, v := range views {
-			if v.hasClock && (!hasClock || v.clockNs > clockNs) {
-				clockNs, hasClock = v.clockNs, true
-			}
-			ingested += v.ingested
-			late += v.late
-			resident += len(v.subs)
-		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
 
 		dst = append(dst, "{\n \"format\": \""+checkpointFormat+"\",\n \"window_ns\": "...)
-		dst = strconv.AppendInt(dst, int64(geom.cfg.Window), 10)
+		dst = strconv.AppendInt(dst, int64(r.cfg.Window), 10)
 		dst = append(dst, ",\n \"buckets\": "...)
-		dst = strconv.AppendInt(dst, int64(geom.cfg.Buckets), 10)
-		if hasClock {
+		dst = strconv.AppendInt(dst, int64(r.cfg.Buckets), 10)
+		if r.hasClock {
 			dst = append(dst, ",\n \"clock\": \""...)
-			dst = time.Unix(0, clockNs).UTC().AppendFormat(dst, time.RFC3339Nano)
+			dst = time.Unix(0, r.clockNs).UTC().AppendFormat(dst, time.RFC3339Nano)
 			dst = append(dst, '"')
 		}
 		dst = append(dst, ",\n \"ingested\": "...)
-		dst = strconv.AppendInt(dst, ingested, 10)
-		dst = appendOptInt(dst, 1, `"late": `, late)
+		dst = strconv.AppendInt(dst, r.ingested, 10)
+		dst = appendOptInt(dst, 1, `"late": `, r.late)
 		dst = append(dst, ",\n \"subscribers\": ["...)
-		if !hasClock {
+		if !r.hasClock {
 			return append(dst, "]\n}\n"...), nil // no clock, no live bucket
 		}
 
-		refs := make([]subRef, 0, resident)
-		for _, v := range views {
-			//gamelens:sorted references are collected here and sorted just below
-			for addr, sub := range v.subs {
-				refs = append(refs, subRef{addr, sub})
-			}
+		refs := make([]subRef, 0, len(r.subs))
+		//gamelens:sorted references are collected here and sorted just below
+		for addr, sub := range r.subs {
+			refs = append(refs, subRef{addr, sub})
 		}
 		slices.SortFunc(refs, func(a, b subRef) int { return a.addr.Compare(b.addr) })
-		for i := 1; i < len(refs); i++ {
-			if refs[i].addr == refs[i-1].addr {
-				return dst, fmt.Errorf("rollup: snapshot: subscriber %v resident in two views", refs[i].addr)
-			}
-		}
 
-		horizon := FloorDiv(clockNs, geom.wNs) - int64(geom.cfg.Buckets)
-		oldest := geom.pos(horizon + 1)
+		horizon := r.horizonLocked()
+		oldest := r.pos(horizon + 1)
 		var slots []int // grows to a ring's length at most; never sized from cfg, which Restore does not bound
 		written := 0
 		for _, ref := range refs {
@@ -194,6 +147,12 @@ func snapshotViews(w io.Writer, views []*Rollup) error {
 		}
 		return append(closeArray(dst, 1, written), "\n}\n"...), nil
 	})
+}
+
+// subRef is one subscriber, referenced in place for the sorted walk.
+type subRef struct {
+	addr netip.Addr
+	sub  *subscriber
 }
 
 // liveSlots appends to slots the ring positions holding a live, non-empty
@@ -291,6 +250,7 @@ func (doc *checkpointJSON) restore() (*Rollup, error) {
 					sj.Addr, slot.idx, bj.Idx)
 			}
 			*slot = bucket{idx: bj.Idx, counts: bj.Counts}
+			sub.newest = max(sub.newest, bj.Idx)
 		}
 		r.subs[addr] = sub
 	}

@@ -16,7 +16,6 @@ package rollup
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -95,22 +94,13 @@ func (c CheckpointerConfig) withDefaults() CheckpointerConfig {
 	return c
 }
 
-// Window is the checkpointable rollup surface: both *Rollup and *Sharded
-// satisfy it, so one Checkpointer serves sharded and resumed (unsharded)
-// monitors alike.
-type Window interface {
-	Config() Config
-	Clock() time.Time
-	Snapshot(w io.Writer) error
-}
-
 // Checkpointer writes generation-numbered checkpoints of src on the packet
 // clock. Tick is designed for the engine's emitter goroutine (one caller
 // at a time on the hot path) but is fully locked, so operator code may
 // call Tick or Final from other goroutines too.
 type Checkpointer struct {
 	cfg CheckpointerConfig
-	src Window
+	src *Rollup
 	wNs int64 // bucket width of src's window, in nanos
 
 	mu       sync.Mutex
@@ -122,12 +112,12 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer builds a Checkpointer snapshotting src per cfg.
-func NewCheckpointer(src Window, cfg CheckpointerConfig) *Checkpointer {
+func NewCheckpointer(src *Rollup, cfg CheckpointerConfig) *Checkpointer {
 	cfg = cfg.withDefaults()
 	return &Checkpointer{
 		cfg:     cfg,
 		src:     src,
-		wNs:     int64(src.Config().width()),
+		wNs:     src.wNs,
 		nextGen: cfg.StartGen,
 	}
 }

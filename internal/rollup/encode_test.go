@@ -12,8 +12,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,21 +69,6 @@ func reflectSnapshot(r *Rollup, w io.Writer) error {
 	return err
 }
 
-// reflectMerged is the reference for a sharded window: the reflection
-// encoder applied to the Merged() fold.
-func reflectMerged(t testing.TB, sh *Sharded) []byte {
-	t.Helper()
-	m, err := sh.Merged()
-	if err != nil {
-		t.Fatalf("Merged: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := reflectSnapshot(m, &buf); err != nil {
-		t.Fatalf("reference encoder: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // firstDiff renders where two documents part ways, for failure messages.
 func firstDiff(got, want []byte) string {
 	n := min(len(got), len(want))
@@ -132,18 +115,19 @@ func injectedCell(rng *rand.Rand) *Counts {
 	return c
 }
 
-// randomWindow fills a sharded window (1–8 shards, odd geometry, sometimes
-// pre-epoch) with up to maxEntries entries of up to maxSubs subscribers,
-// spread over several window spans — so some buckets have aged out, some
-// slots have rotated, some entries arrive late — plus a few injected cells,
-// and sometimes pushes the clock on past the last entry.
-func randomWindow(seed int64, maxSubs, maxEntries int) *Sharded {
+// randomWindow fills a window (odd geometry, sometimes pre-epoch) with up to
+// maxEntries entries of up to maxSubs subscribers, spread over several window
+// spans — so some buckets have aged out, some slots have rotated, some
+// subscribers have been dropped, some entries arrive late — plus a few
+// injected cells, and sometimes pushes the clock on past the last entry.
+func randomWindow(seed int64, maxSubs, maxEntries int) *Rollup {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := Config{
 		Window:  time.Duration(1+rng.Intn(5000)) * time.Duration([]int64{1, 1e3, 1e6, 1e9, 60e9}[rng.Intn(5)]),
 		Buckets: 1 + rng.Intn(17),
 	}
-	sh := NewSharded(1+rng.Intn(8), cfg)
+	rng.Intn(8) // a draw the generator has always made: FuzzRestoreReencode's seeds are numbered by the documents that follow
+	r := New(cfg)
 	base := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	if rng.Intn(3) == 0 {
 		base = time.Unix(-86400*int64(1+rng.Intn(4000)), int64(rng.Intn(1e9))) // pre-epoch capture
@@ -179,46 +163,36 @@ func randomWindow(seed int64, maxSubs, maxEntries int) *Sharded {
 			e.StageMinutes[st] = hostileSums[rng.Intn(len(hostileSums))]
 		}
 		if rng.Intn(25) == 0 {
-			sh.shards[sh.shardFor(e.Subscriber)].InjectCounts(e.End, e.Subscriber, injectedCell(rng))
+			r.InjectCounts(e.End, e.Subscriber, injectedCell(rng))
 			continue
 		}
-		sh.Observe(e)
+		r.Observe(e)
 	}
 	if rng.Intn(2) == 0 {
-		sh.Advance(sh.Clock().Add(time.Duration(rng.Int63n(int64(cfg.Window)))))
+		r.Advance(r.Clock().Add(time.Duration(rng.Int63n(int64(cfg.Window)))))
 	}
-	return sh
+	return r
 }
 
 // TestSnapshotMatchesReflection is the differential property the append
-// encoder is built on: over random sharded windows, Sharded.Snapshot writes
-// byte for byte what the reflection encoder writes for Merged(), and every
-// shard's own Snapshot what it writes for that shard.
+// encoder is built on: over random windows, Snapshot writes byte for byte
+// what the reflection encoder writes, and Restore accepts it.
 func TestSnapshotMatchesReflection(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		sh := randomWindow(seed, 40, 400)
-		var got bytes.Buffer
-		if err := sh.Snapshot(&got); err != nil {
+		r := randomWindow(seed, 40, 400)
+		var got, want bytes.Buffer
+		if err := r.Snapshot(&got); err != nil {
 			t.Fatalf("seed %d: Snapshot: %v", seed, err)
 		}
-		if want := reflectMerged(t, sh); !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("seed %d (%d shards, %+v): sharded snapshot differs from the reference: %s",
-				seed, sh.NumShards(), sh.Config(), firstDiff(got.Bytes(), want))
+		if err := reflectSnapshot(r, &want); err != nil {
+			t.Fatalf("seed %d: reference encoder: %v", seed, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("seed %d (%+v): snapshot differs from the reference: %s",
+				seed, r.Config(), firstDiff(got.Bytes(), want.Bytes()))
 		}
 		if _, err := Restore(bytes.NewReader(got.Bytes())); err != nil {
 			t.Fatalf("seed %d: Restore of own snapshot: %v", seed, err)
-		}
-		for i := 0; i < sh.NumShards(); i++ {
-			var one, want bytes.Buffer
-			if err := sh.shards[i].Snapshot(&one); err != nil {
-				t.Fatalf("seed %d shard %d: Snapshot: %v", seed, i, err)
-			}
-			if err := reflectSnapshot(sh.shards[i], &want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(one.Bytes(), want.Bytes()) {
-				t.Fatalf("seed %d shard %d: snapshot differs from the reference: %s", seed, i, firstDiff(one.Bytes(), want.Bytes()))
-			}
 		}
 	}
 }
@@ -262,110 +236,29 @@ func (f failOnWrite) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSnapshotSplitSubscriberFailsWhole pins the in-place walk's invariant
-// check: an address resident in two shards — out of reach of Observe's hash
-// route, written here into the shards directly — fails Snapshot before a byte
-// is written.
-func TestSnapshotSplitSubscriberFailsWhole(t *testing.T) {
-	sh := NewSharded(3, Config{Window: time.Hour, Buckets: 6})
-	entries := mergeEntries(60, 9)
-	for _, e := range entries {
-		sh.Observe(e)
-	}
-	split := entries[len(entries)-1]
-	split.Subscriber = netip.MustParseAddr("10.9.9.9")
-	for _, r := range sh.shards {
-		r.Observe(split)
-	}
-	if err := sh.Snapshot(failOnWrite{t}); err == nil {
-		t.Error("Snapshot of a window holding one address in three shards succeeded")
-	}
-}
-
 // TestSnapshotNonFiniteFailsWhole pins the error contract: a sum with no
 // JSON form (reachable through InjectCounts, which trusts its caller) fails
-// Snapshot — sharded and single — before a byte is written.
+// Snapshot before a byte is written.
 func TestSnapshotNonFiniteFailsWhole(t *testing.T) {
 	at := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
+	addr := netip.MustParseAddr("10.7.7.7")
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		sh := NewSharded(4, Config{})
+		r := New(Config{})
 		for _, e := range mergeEntries(40, 7) {
-			sh.Observe(e)
+			r.Observe(e)
 		}
 		cell := injectedCell(rand.New(rand.NewSource(1)))
 		cell.MbpsSum = bad
-		addr := netip.MustParseAddr("10.7.7.7")
-		sh.shards[sh.shardFor(addr)].InjectCounts(at, addr, cell)
-		if err := sh.Snapshot(failOnWrite{t}); err == nil {
-			t.Errorf("MbpsSum %v: Sharded.Snapshot succeeded", bad)
-		}
-		if err := sh.shards[sh.shardFor(addr)].Snapshot(failOnWrite{t}); err == nil {
-			t.Errorf("MbpsSum %v: Rollup.Snapshot succeeded", bad)
+		r.InjectCounts(at, addr, cell)
+		if err := r.Snapshot(failOnWrite{t}); err == nil {
+			t.Errorf("MbpsSum %v: Snapshot succeeded", bad)
 		}
 		cell.MbpsSum, cell.StageMinutes[1] = 1, bad
 		one := New(Config{})
 		one.InjectCounts(at, addr, cell)
 		if err := one.Snapshot(failOnWrite{t}); err == nil {
-			t.Errorf("StageMinutes %v: Rollup.Snapshot succeeded", bad)
+			t.Errorf("StageMinutes %v: Snapshot succeeded", bad)
 		}
-	}
-}
-
-// TestSnapshotCrossShardCut runs Snapshot against concurrent Observes on
-// every shard and a crossing Merged(). Every entry lands inside one window
-// span, so nothing ages out and nothing is late: a snapshot that is one cut
-// across the shards restores with Ingested equal to the sessions it carries,
-// whatever instant it was taken at. (Run under -race: the snapshot reads the
-// shards' buckets in place, under their locks.)
-func TestSnapshotCrossShardCut(t *testing.T) {
-	const shards, writers, perWriter = 4, 4, 1500
-	sh := NewSharded(shards, Config{Window: time.Hour, Buckets: 12})
-	base := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
-	var wg sync.WaitGroup
-	var done atomic.Bool
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				e := entry(w*64+i%64, time.Duration(i)*time.Second, hostileNames[i%len(hostileNames)], qoe.Level(i%qoe.NumLevels))
-				e.End = base.Add(time.Duration(i) * time.Second) // 25 minutes in all
-				sh.Observe(e)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !done.Load() {
-			if _, err := sh.Merged(); err != nil {
-				t.Errorf("Merged: %v", err)
-				return
-			}
-		}
-	}()
-	check := func() {
-		var buf bytes.Buffer
-		if err := sh.Snapshot(&buf); err != nil {
-			t.Fatalf("Snapshot: %v", err)
-		}
-		r, err := Restore(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("Restore: %v", err)
-		}
-		total := r.Total()
-		if st := r.Stats(); st.Ingested != total.Sessions || st.Late != 0 {
-			t.Fatalf("snapshot is not one cut: %d ingested, %d late, %d sessions carried", st.Ingested, st.Late, total.Sessions)
-		}
-	}
-	for sh.Stats().Ingested < writers*perWriter {
-		check()
-	}
-	done.Store(true)
-	wg.Wait()
-	check()
-	if st := sh.Stats(); st.Ingested != writers*perWriter || st.Late != 0 {
-		t.Fatalf("stats after the run: %+v", st)
 	}
 }
 
@@ -379,16 +272,16 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC mid-run would empty the buffer pool
 	allocs := func(subs int) float64 {
-		sh := NewSharded(4, Config{Window: time.Hour, Buckets: 12})
+		r := New(Config{Window: time.Hour, Buckets: 12})
 		for b := 0; b < 12; b++ { // every subscriber warm in every bucket
 			for i := 0; i < subs; i++ {
 				e := entry(0, time.Duration(b)*5*time.Minute, []string{"Fortnite", "Hearthstone", ""}[i%3], qoe.Level(i%qoe.NumLevels))
 				e.Subscriber = netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})
-				sh.Observe(e)
+				r.Observe(e)
 			}
 		}
 		snap := func() {
-			if err := sh.Snapshot(io.Discard); err != nil {
+			if err := r.Snapshot(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -119,6 +119,7 @@ func (r *Rollup) Merge(tap *Rollup) error {
 			slot.counts.Merge(&b.counts)
 		} else if slot.idx == noBucket {
 			*slot = bucket{idx: b.idx, counts: b.counts}
+			sub.newest = max(sub.newest, b.idx)
 		}
 	}
 	return nil

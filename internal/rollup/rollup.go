@@ -8,12 +8,13 @@
 // core.SessionReport emitted through a ReportSink, whether by TTL eviction
 // mid-run or by Finish — and buckets each report into a ring of fixed-width
 // time buckets per subscriber, so memory is O(subscribers × buckets)
-// regardless of how many reports the window has absorbed. Time is packet
-// time throughout, the same clock the lifecycle runs on: the rollup's clock
-// is the newest report end (or Advance instant) observed, so PCAP replay
-// and live capture aggregate identically. Aggregation is pure addition, so
-// the window state is independent of ingest order with one boundary
-// exception: entries older than the already-slid window are dropped as
+// regardless of how many reports the window has absorbed — subscribers seen
+// within the window: one whose every bucket has aged out is dropped. Time is
+// packet time throughout, the same clock the lifecycle runs on: the rollup's
+// clock is the newest report end (or Advance instant) observed, so PCAP
+// replay and live capture aggregate identically. Aggregation is pure
+// addition, so the window state is independent of ingest order with one
+// boundary exception: entries older than the already-slid window are dropped as
 // late, and whether an entry beats the clock past its horizon depends on
 // arrival order. Feeding a deterministic order (population-ordered fleet
 // records, the engine's sorted Finish output) is therefore exactly
@@ -447,13 +448,17 @@ type bucket struct {
 	counts Counts
 }
 
-// subscriber is one client address's ring of window buckets.
+// subscriber is one client address's ring of window buckets. newest is the
+// largest bucket number any slot holds (noBucket on an empty ring): once the
+// window horizon reaches it the subscriber has aged out whole, which is how
+// dropAgedLocked finds it without walking the ring.
 type subscriber struct {
-	ring []bucket
+	ring   []bucket
+	newest int64
 }
 
 func newSubscriber(buckets int) *subscriber {
-	s := &subscriber{ring: make([]bucket, buckets)}
+	s := &subscriber{ring: make([]bucket, buckets), newest: noBucket}
 	for i := range s.ring {
 		s.ring[i].idx = noBucket
 	}
@@ -489,8 +494,11 @@ func New(cfg Config) *Rollup {
 
 // Stats are the rollup's observability counters.
 type Stats struct {
-	// Subscribers is the number of client addresses currently resident
-	// (some may have aged fully out of the window; Snapshot prunes those).
+	// Subscribers is the number of client addresses resident: those with a
+	// bucket inside the window as of the clock's current bucket (a
+	// subscriber whose every bucket has aged out is dropped when the clock
+	// crosses the bucket boundary that ages it out), which is what a Restore
+	// of a Snapshot taken at the same instant reports.
 	Subscribers int
 	// Ingested counts entries folded into the window since the start of
 	// the run (checkpoints carry it across restarts).
@@ -542,11 +550,33 @@ func (r *Rollup) pos(idx int64) int {
 	return p
 }
 
-// advanceLocked moves the clock forward (never backward) to ns.
+// advanceLocked moves the clock forward (never backward) to ns. Buckets age
+// out only when the clock enters a new bucket, so that is when — and the only
+// time — the subscriber map is swept.
 func (r *Rollup) advanceLocked(ns int64) {
-	if !r.hasClock || ns > r.clockNs {
-		r.clockNs = ns
-		r.hasClock = true
+	if r.hasClock && ns <= r.clockNs {
+		return
+	}
+	crossed := !r.hasClock || FloorDiv(ns, r.wNs) != FloorDiv(r.clockNs, r.wNs)
+	r.clockNs, r.hasClock = ns, true
+	if crossed {
+		r.dropAgedLocked()
+	}
+}
+
+// dropAgedLocked forgets every subscriber whose newest bucket has slid out
+// of the window. The clock is monotonic, so such a subscriber can never
+// contribute to a query or a checkpoint again (Snapshot, Subscribers, Total
+// and Merge already skip it); without this a months-long monitor would hold
+// a ring — and two warm sketch buffers per slot ever written — for every
+// address it ever saw. One comparison per resident subscriber per bucket
+// width, under the lock the caller holds, allocating nothing.
+func (r *Rollup) dropAgedLocked() {
+	horizon := r.horizonLocked()
+	for addr, sub := range r.subs {
+		if sub.newest <= horizon {
+			delete(r.subs, addr)
+		}
 	}
 }
 
@@ -579,6 +609,25 @@ func (r *Rollup) ObserveBatch(entries []Entry) {
 	defer r.mu.Unlock()
 	for i := range entries {
 		r.observeLocked(entries[i])
+	}
+}
+
+// ObserveReports distills one batch of session reports and folds it under a
+// single lock acquisition — the engine BatchSink fast path (pass the method
+// value: engine.Config{BatchSink: r.ObserveReports}). Identical to
+// Observe(FromReport(rep)) per report in slice order, and allocation-free
+// once the subscribers' buckets are warm (pinned by
+// TestRollupObserveReportsAllocs).
+//
+//gamelens:noalloc
+func (r *Rollup) ObserveReports(reports []*core.SessionReport) {
+	if len(reports) == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, rep := range reports {
+		r.observeLocked(FromReport(rep))
 	}
 }
 
@@ -631,6 +680,7 @@ func (r *Rollup) slotLocked(addr netip.Addr, idx int64) *bucket {
 		// allocation-free (pinned by TestRollupRotationAllocs).
 		b.idx = idx
 		b.counts.reset()
+		sub.newest = max(sub.newest, idx)
 	}
 	return b
 }
@@ -680,13 +730,16 @@ func (r *Rollup) Advance(now time.Time) {
 	r.advanceLocked(now.UnixNano())
 }
 
+// horizonLocked is the newest bucket number the clock has aged out: the
+// window is the Buckets buckets above it. Meaningful only once hasClock.
+func (r *Rollup) horizonLocked() int64 {
+	return FloorDiv(r.clockNs, r.wNs) - int64(r.cfg.Buckets)
+}
+
 // liveLocked reports whether an absolute bucket number is inside the
 // current window.
 func (r *Rollup) liveLocked(idx int64) bool {
-	if !r.hasClock {
-		return false
-	}
-	return idx > FloorDiv(r.clockNs, r.wNs)-int64(r.cfg.Buckets)
+	return r.hasClock && idx > r.horizonLocked()
 }
 
 // Aggregate is one subscriber's whole-window summary.

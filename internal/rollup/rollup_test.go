@@ -210,7 +210,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointRestoreThenContinue is the restart-resume equivalence the
 // §5 deployment needs: checkpoint mid-stream, restore into a fresh rollup,
 // feed the remainder — the final checkpoint must be byte-identical to an
-// uninterrupted run over the same entry stream.
+// uninterrupted run over the same entry stream. Every ninth entry is followed
+// by a straggler dated about a window behind the clock, some just inside the
+// horizon and some just past it, so the equivalence covers the late-entry
+// rule too: the restored clock drops exactly what the original would have.
 func TestCheckpointRestoreThenContinue(t *testing.T) {
 	var entries []Entry
 	for i := 0; i < 60; i++ {
@@ -222,6 +225,10 @@ func TestCheckpointRestoreThenContinue(t *testing.T) {
 			title = "Hearthstone"
 		}
 		entries = append(entries, entry(i%7, time.Duration(i)*2*time.Minute, title, qoe.Level(i%3)))
+		if i%9 == 4 {
+			behind := time.Duration(50+8*(i%3)) * time.Minute // 50, 58 or 66 minutes in a 60-minute window
+			entries = append(entries, entry(i%5, time.Duration(i)*2*time.Minute-behind, "Fortnite", qoe.Good))
+		}
 	}
 
 	cfg := Config{Window: time.Hour, Buckets: 6}
@@ -229,8 +236,11 @@ func TestCheckpointRestoreThenContinue(t *testing.T) {
 	for _, e := range entries {
 		uninterrupted.Observe(e)
 	}
+	if st := uninterrupted.Stats(); st.Late == 0 || st.Ingested+st.Late != int64(len(entries)) {
+		t.Fatalf("stragglers do not straddle the horizon: %+v", st)
+	}
 
-	for _, mid := range []int{1, 17, 30, 59} {
+	for _, mid := range []int{1, 17, 30, len(entries) - 1} {
 		first := New(cfg)
 		for _, e := range entries[:mid] {
 			first.Observe(e)
@@ -245,6 +255,12 @@ func TestCheckpointRestoreThenContinue(t *testing.T) {
 		}
 		for _, e := range entries[mid:] {
 			resumed.Observe(e)
+		}
+		if mid <= 30 && resumed.Stats().Late == first.Stats().Late {
+			t.Errorf("mid=%d: no entry was late after the restore point", mid)
+		}
+		if got, want := resumed.Stats(), uninterrupted.Stats(); got != want {
+			t.Errorf("mid=%d: resumed stats %+v, uninterrupted %+v", mid, got, want)
 		}
 
 		var want, got bytes.Buffer
