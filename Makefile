@@ -56,11 +56,16 @@ race:
 # the slot closes it triggers and Finish) and the whole title decision over
 # it, Forest.PredictProbaInto, Rollup.Observe (percentile sketch insertion
 # included), Sketch.Add/Merge, packet.Summarize (accepting and rejecting),
-# and a shard's steady-state consume of one batch — must measure 0
-# allocs/op; TestSnapshotAllocs pins the window checkpoint at the same count
-# for a 40- and a 400-subscriber window.
+# the packet filter's ObserveSummary (a pending, a rejected and a gaming hit,
+# and an insert/Expire cycle), and a shard's steady-state consume of one
+# batch — must measure 0 allocs/op; TestSnapshotAllocs pins the window
+# checkpoint at the same count for a 40- and a 400-subscriber window. The
+# same pass holds the three per-packet structures to their byte budgets by
+# name (the `Size$$` tests): the filter's record ≤ 96 B, packet.Summary ≤ 48 B,
+# the engine's ring entry ≤ 72 B — what one non-gaming five-tuple and one
+# queued packet cost, i.e. the `background` workload's heap_b_per_key.
 allocgate:
-	$(GO) test -run 'Allocs$$' -count=1 ./internal/mlkit ./internal/features ./internal/titleclass ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/packet ./internal/engine
+	$(GO) test -run 'Allocs$$|Size$$' -count=1 ./internal/mlkit ./internal/features ./internal/titleclass ./internal/stageclass ./internal/rollup ./internal/sketch ./internal/packet ./internal/flowdetect ./internal/engine
 
 # The report-path allocation pins, same plain-build rule as allocgate: one
 # full emitter drain — shard report rings → Sink + BatchSink → the window's
@@ -76,7 +81,8 @@ sinkgate:
 # property whose seed corpus also runs as a plain test in every `go test`;
 # this step lets the mutator look past the seeds. FuzzSummarize: the ingest
 # parser errs iff packet.Decode errs, and otherwise yields the summary the
-# decode derives (seeds: every frame shape cut at every length).
+# decode derives, its 40-byte tuple converting to the decode's canonical
+# FlowKey and back without loss (seeds: every frame shape cut at every length).
 # FuzzLaunchAccumulator: the streaming launch window, fed capture timestamps
 # and payload lengths — negative, huge and regressing ones included — never
 # panics, holds memory bounded by the packet count alone, and equals the
@@ -92,12 +98,17 @@ sinkgate:
 # zero vector of that width without hanging or panicking, and saves to a
 # fixed point of load→save (seeds: saved forests cut and bit-flipped, and
 # the hostile table — cycles, negative and out-of-range children, splits
-# past the width, empty trees, leaves without a distribution). The launch
-# window's and the three loaders' inputs are KB-sized, so the minimizer is
-# capped in executions — left at its 60 s default it spends the whole smoke
-# shrinking the first interesting input.
+# past the width, empty trees, leaves without a distribution). FuzzTable: the
+# packet filter's flat flow table, driven by an op stream (observe, late
+# observe, Remove, Expire, Attach, Reset over a few dozen five-tuples),
+# equals the map-backed detector it replaced after every step and keeps its
+# index and record array sound (seeds: random streams). The launch
+# window's, the table's and the three loaders' inputs are KB-sized, so the
+# minimizer is capped in executions — left at its 60 s default it spends the
+# whole smoke shrinking the first interesting input.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSummarize$$' -fuzztime 5s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/flowdetect
 	$(GO) test -run '^$$' -fuzz '^FuzzLaunchAccumulator$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/features
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionReencode$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/rollup/store

@@ -229,11 +229,13 @@
 //     (a batch's memory shuttles between exactly one producer and one
 //     shard forever), the frame parse allocates on neither its accept nor
 //     its reject path, a packet finds its flow's detector record and
-//     session in one map lookup, the pipeline's slot accounting mutates
-//     fixed per-flow state, and a launch-window packet lands in one of its
-//     flow's two open attribute-slot buffers (features.LaunchAccumulator:
-//     the window is streamed slot by slot, never buffered whole), warm
-//     once an accumulator has been through one flow.
+//     session in one lookup of the filter's flat table (a non-gaming
+//     packet stops at a pointer-free 96-byte record), the pipeline's
+//     slot accounting mutates fixed per-flow state, and a launch-window
+//     packet lands in one of its flow's two open attribute-slot buffers
+//     (features.LaunchAccumulator: the window is streamed slot by slot,
+//     never buffered whole), warm once an accumulator has been through
+//     one flow.
 //   - Per closed slot: nothing. stageclass.Tracker.Push runs the feature
 //     extractor, the stage forest, the transition matrix and the pattern
 //     forest entirely in tracker-owned scratch; QoE levels accumulate into

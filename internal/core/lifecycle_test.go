@@ -435,12 +435,11 @@ func TestEvictedFlowResumesFresh(t *testing.T) {
 	}
 }
 
-// TestReorderedFlowKeepsSession pins the one way a live session can lose
-// its detector entry: a late-stamped packet regresses the Flow record's
-// LastSeen (the session's never regresses), so the sweep expires the record
-// but not the session. When the flow re-earns its verdict on a new record,
-// the session the sweep still holds carries on — no second session, no
-// second report.
+// TestReorderedFlowKeepsSession pins that a late packet changes nothing: a
+// frame delivered fifteen seconds late regresses neither the session's
+// LastSeen nor the detector's, so the sweep that follows keeps both — the
+// same session, its detector record, and no gap in the slots for the flow
+// to re-earn a verdict over.
 func TestReorderedFlowKeepsSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -468,17 +467,22 @@ func TestReorderedFlowKeepsSession(t *testing.T) {
 	for at := time.Second; at <= 20*time.Second; at += 500 * time.Millisecond {
 		feed(at)
 	}
-	feed(5 * time.Second) // delivered late: the record's LastSeen regresses
-	p.HandlePacket(base.Add(23*time.Second), &other, nil)
-	if p.NumFlows() != 1 || p.DetectorFlows() != 0 {
-		t.Fatalf("after the sweep: %d sessions, %d detector flows; want the session without its record", p.NumFlows(), p.DetectorFlows())
+	if late := feed(5 * time.Second); late != fs { // delivered late
+		t.Fatalf("late packet reached session %p, want %p", late, fs)
 	}
-	var again *FlowSession
-	for i := 0; i < 300; i++ {
-		again = feed(23*time.Second + time.Duration(i)*3*time.Millisecond)
+	if want := base.Add(20 * time.Second); !fs.LastSeen.Equal(want) || !fs.Flow.LastSeen.Equal(want) {
+		t.Fatalf("late packet moved LastSeen: session %v, flow %v, want %v", fs.LastSeen, fs.Flow.LastSeen, want)
 	}
-	if again != fs {
-		t.Fatalf("resumed flow got session %p, want the live one %p", again, fs)
+	p.HandlePacket(base.Add(23*time.Second), &other, nil) // a sweep with the cutoff at 13 s
+	if p.NumFlows() != 1 || p.DetectorFlows() != 1 {
+		t.Fatalf("after the sweep: %d sessions, %d detector flows; want both kept", p.NumFlows(), p.DetectorFlows())
+	}
+	slots := fs.slotIdx
+	if again := feed(23 * time.Second); again != fs {
+		t.Fatalf("next packet got session %p, want the live one %p", again, fs)
+	}
+	if fs.slotIdx <= slots {
+		t.Errorf("the packet after the sweep reached no slot (slot index %d)", fs.slotIdx)
 	}
 	if p.CreatedFlows() != 1 || p.NumFlows() != 1 {
 		t.Errorf("created=%d live=%d, want 1 and 1", p.CreatedFlows(), p.NumFlows())

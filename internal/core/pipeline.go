@@ -223,8 +223,9 @@ func (p *Pipeline) HandlePacket(ts time.Time, dec *packet.Decoded, payload []byt
 }
 
 // HandleSummary feeds one frame summary. Returns the flow session when the
-// frame belongs to a detected cloud-gaming flow, else nil. The detector's
-// table entry carries the session, so a packet costs one map lookup.
+// frame belongs to a detected cloud-gaming flow, else nil. The detector
+// hands a Gaming flow's session back with its verdict, so a packet costs one
+// table lookup — and a non-gaming packet touches no Flow at all.
 //
 // Every frame advances the packet clock, and when FlowTTL is configured a
 // due eviction sweep runs before the frame is processed — so idle flows are
@@ -233,8 +234,8 @@ func (p *Pipeline) HandleSummary(ts time.Time, s *packet.Summary) *FlowSession {
 	if p.lc.observe(ts) {
 		p.sweep()
 	}
-	f, fs := p.det.ObserveSummary(ts, s)
-	if f == nil || f.State != flowdetect.Gaming {
+	state, f, fs := p.det.ObserveSummary(ts, s)
+	if state != flowdetect.Gaming {
 		return nil
 	}
 	if fs == nil {
@@ -251,27 +252,23 @@ func (p *Pipeline) HandleSummary(ts time.Time, s *packet.Summary) *FlowSession {
 }
 
 // adopt gives a flow the detector has just judged Gaming its session and
-// hangs it on the detector's entry. The session is normally new; it already
-// exists only when reordered timestamps let the detector expire the flow's
-// record under a session the sweep still holds live, and the resumed flow
-// has re-earned its verdict — that session carries on.
+// hangs it beside the detector's Flow. The session is always new: the
+// detector's last-seen never trails the session's, so the sweep cannot
+// expire a flow's record from under a session it keeps.
 func (p *Pipeline) adopt(f *flowdetect.Flow) *FlowSession {
-	fs := p.flows[f.Key]
-	if fs == nil {
-		fs = &FlowSession{
-			Flow:       f,
-			Start:      f.FirstSeen,
-			Accounting: NewAccounting(p.stages, p.cfg.LaunchWindow),
-		}
-		if n := len(p.launchFree); n > 0 {
-			fs.launch, p.launchFree = p.launchFree[n-1], p.launchFree[:n-1]
-		} else {
-			fs.launch = new(features.LaunchAccumulator)
-		}
-		p.titles.Begin(fs.launch, &p.titleSc)
-		p.flows[f.Key] = fs
-		p.lc.created++
+	fs := &FlowSession{
+		Flow:       f,
+		Start:      f.FirstSeen,
+		Accounting: NewAccounting(p.stages, p.cfg.LaunchWindow),
 	}
+	if n := len(p.launchFree); n > 0 {
+		fs.launch, p.launchFree = p.launchFree[n-1], p.launchFree[:n-1]
+	} else {
+		fs.launch = new(features.LaunchAccumulator)
+	}
+	p.titles.Begin(fs.launch, &p.titleSc)
+	p.flows[f.Key] = fs
+	p.lc.created++
 	p.det.Attach(f.Key, fs)
 	return fs
 }
@@ -279,10 +276,11 @@ func (p *Pipeline) adopt(f *flowdetect.Flow) *FlowSession {
 // feed routes one payload record into the per-flow state.
 func (p *Pipeline) feed(fs *FlowSession, ts time.Time, s *packet.Summary) {
 	offset := ts.Sub(fs.Start)
+	size := int(s.PayloadLen)
 	dir := trace.Up
 	if s.SrcPort() == fs.Flow.ServerPort {
 		dir = trace.Down
-		fs.bytesDown += int64(s.PayloadLen)
+		fs.bytesDown += int64(size)
 	}
 
 	// Launch window: downstream packets stream into the accumulator until
@@ -293,7 +291,7 @@ func (p *Pipeline) feed(fs *FlowSession, ts time.Time, s *packet.Summary) {
 		if acc.Done(offset) {
 			p.decideTitle(fs)
 		} else if dir == trace.Down {
-			acc.Add(offset, s.PayloadLen)
+			acc.Add(offset, size)
 		}
 	}
 
@@ -303,7 +301,7 @@ func (p *Pipeline) feed(fs *FlowSession, ts time.Time, s *packet.Summary) {
 		p.closeSlot(fs)
 	}
 	if idx == fs.slotIdx {
-		fs.curSlot.Add(dir, s.PayloadLen)
+		fs.curSlot.Add(dir, size)
 	}
 }
 

@@ -394,9 +394,9 @@ type Engine struct {
 	finished atomic.Bool
 
 	// Automatic shard-clock ticks (see Config.TickInterval): clockNs is
-	// the newest capture timestamp observed engine-wide, nextTickNs the
-	// packet-time instant the next sweep is due. tickEvery is 0 when ticks
-	// are disabled.
+	// the newest capture timestamp observed engine-wide among those that
+	// made a sweep due (Producer.tick), nextTickNs the packet-time instant
+	// the next sweep is due. tickEvery is 0 when ticks are disabled.
 	tickEvery  int64 // nanos
 	clockNs    atomic.Int64
 	nextTickNs atomic.Int64
@@ -548,11 +548,12 @@ func (s *shard) consume(q *queue, b batch) {
 // runs and processes: the same flow always lands on the same shard of an
 // N-shard engine.
 func ShardIndex(key packet.FlowKey, shards int) int {
-	return shardOf(key.Canonical(), shards)
+	k := packet.TupleOf(key.Canonical())
+	return shardOf(&k, shards)
 }
 
 // shardOf is ShardIndex of a key that is already canonical (a summary's).
-func shardOf(key packet.FlowKey, shards int) int {
+func shardOf(key *packet.Tuple, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
@@ -560,23 +561,14 @@ func shardOf(key packet.FlowKey, shards int) int {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
+	// The tuple's first 37 bytes are what this hash has always mixed, in
+	// the order it mixed them: both addresses in 16-byte form, the ports
+	// big-endian, the protocol.
 	h := uint64(offset64)
-	mix := func(b byte) {
+	for _, b := range key[:37] {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	src, dst := key.Src.As16(), key.Dst.As16()
-	for _, b := range src {
-		mix(b)
-	}
-	for _, b := range dst {
-		mix(b)
-	}
-	mix(byte(key.SrcPort >> 8))
-	mix(byte(key.SrcPort))
-	mix(byte(key.DstPort >> 8))
-	mix(byte(key.DstPort))
-	mix(byte(key.Proto))
 	// FNV-1a's low bits barely mix (the prime is odd, so h%2^k follows a
 	// tiny state machine); finalize murmur3-style before reducing so small
 	// shard counts still see a uniform spread.

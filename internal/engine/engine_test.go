@@ -648,3 +648,45 @@ func TestEngineStats(t *testing.T) {
 		}
 	}
 }
+
+// TestShardIndexPinned holds shard routing to the values it had before the
+// five-tuple travelled as a packet.Tuple: a fleet that restarts onto a new
+// build must keep sending every flow to the shard that holds its state, and
+// ShardIndex is documented as stable across processes. Canonicalization is
+// part of the pin (keys 1 and 2 are one conversation).
+func TestShardIndexPinned(t *testing.T) {
+	a := netip.MustParseAddr
+	pins := []struct {
+		key  packet.FlowKey
+		want [4]int // shards = 2, 3, 8, 1000003
+	}{
+		{packet.FlowKey{}, [4]int{0, 2, 2, 800746}},
+		{packet.FlowKey{Src: a("203.0.113.7"), Dst: a("10.0.0.9"), SrcPort: 49003, DstPort: 50001, Proto: packet.ProtoUDP}, [4]int{1, 0, 5, 795249}},
+		{packet.FlowKey{Src: a("10.0.0.9"), Dst: a("203.0.113.7"), SrcPort: 50001, DstPort: 49003, Proto: packet.ProtoUDP}, [4]int{1, 0, 5, 795249}},
+		{packet.FlowKey{Src: a("10.1.1.2"), Dst: a("10.1.1.2"), SrcPort: 9, DstPort: 7, Proto: packet.ProtoTCP}, [4]int{1, 1, 3, 159049}},
+		{packet.FlowKey{Src: a("2001:db8::1"), Dst: a("2001:db8::2"), SrcPort: 9295, DstPort: 40000, Proto: packet.ProtoUDP}, [4]int{1, 1, 1, 818289}},
+		{packet.FlowKey{Src: a("::ffff:1.2.3.4"), Dst: a("2001:db8::2"), SrcPort: 443, DstPort: 51000, Proto: packet.ProtoTCP}, [4]int{0, 2, 2, 659670}},
+		{packet.FlowKey{Src: a("192.0.2.1"), Dst: a("198.51.100.200")}, [4]int{1, 2, 1, 747190}},
+		{packet.FlowKey{Src: a("100.64.3.17"), Dst: a("203.0.113.250"), SrcPort: 3478, DstPort: 61234, Proto: packet.ProtoUDP}, [4]int{0, 0, 0, 815553}},
+	}
+	for _, p := range pins {
+		for i, shards := range []int{2, 3, 8, 1000003} {
+			if got := engine.ShardIndex(p.key, shards); got != p.want[i] {
+				t.Errorf("ShardIndex(%v, %d) = %d, pinned %d", p.key, shards, got, p.want[i])
+			}
+		}
+		if got := engine.ShardIndex(p.key, 1); got != 0 {
+			t.Errorf("ShardIndex(%v, 1) = %d", p.key, got)
+		}
+	}
+}
+
+// TestRingEntrySize pins what one queued packet costs a lane: QueueDepth ×
+// BatchSize of these per producer and shard is most of an idle engine's
+// heap, so a field added to the entry (or to packet.Summary) fails here by
+// name.
+func TestRingEntrySize(t *testing.T) {
+	if engine.RingEntrySize > 72 {
+		t.Errorf("engine ring entry is %d bytes, budget 72", engine.RingEntrySize)
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"time"
+	"unsafe"
 
 	"gamelens/internal/core"
 	"gamelens/internal/packet"
@@ -23,3 +24,6 @@ func NewConsumeRig(pipe *core.Pipeline) func(ts []time.Time, sums []packet.Summa
 		s.consume(pr.q, b)
 	}
 }
+
+// RingEntrySize is what one queued packet occupies in a batch.
+const RingEntrySize = unsafe.Sizeof(entry{})

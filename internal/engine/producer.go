@@ -90,7 +90,7 @@ func (p *Producer) HandleFrame(ts time.Time, frame []byte) {
 	if err := packet.Summarize(frame, &s); err != nil {
 		p.reject()
 	} else {
-		p.enqueue(shardOf(s.Key, len(p.e.shards)), ts, &s)
+		p.enqueue(shardOf(&s.Key, len(p.e.shards)), ts, &s)
 	}
 	if p.e.tickEvery > 0 {
 		p.tick(ts)
@@ -103,15 +103,21 @@ func (p *Producer) reject() {
 	p.rejected.Add(1)
 }
 
-// tick advances the engine-wide packet clock to ts and, when a whole
-// TickInterval has elapsed since the last sweep, runs an expire sweep at
-// the clock instant. The CAS on nextTickNs elects exactly one producer per
-// interval to perform the sweep; the losers return immediately, so the
-// per-packet cost is two atomic loads. The elected producer sweeps through
-// its own lanes, in-band with its stream.
+// tick runs an expire sweep when ts has reached the instant the next one is
+// due, a whole TickInterval after the last. Nothing else is per packet: one
+// atomic load and a compare. Only a timestamp that makes a sweep due is
+// folded into the engine-wide clock — whatever the clock missed was earlier
+// than the due instant, so the maximum it holds at a sweep is the maximum
+// any producer has seen. The CAS on nextTickNs then elects exactly one
+// producer per interval to sweep, at the clock instant, through its own
+// lanes, in-band with its stream.
 func (p *Producer) tick(ts time.Time) {
 	e := p.e
 	now := ts.UnixNano()
+	next := e.nextTickNs.Load()
+	if next != 0 && now < next {
+		return
+	}
 	for {
 		cur := e.clockNs.Load()
 		if cur >= now {
@@ -122,13 +128,9 @@ func (p *Producer) tick(ts time.Time) {
 			break
 		}
 	}
-	next := e.nextTickNs.Load()
 	if next == 0 {
 		// First packet: schedule the first sweep one interval out.
 		e.nextTickNs.CompareAndSwap(0, now+e.tickEvery)
-		return
-	}
-	if now < next {
 		return
 	}
 	if !e.nextTickNs.CompareAndSwap(next, now+e.tickEvery) {

@@ -5,6 +5,15 @@
 // ranges, sustained high downstream rate with MTU-sized payloads, RTP header
 // sanity, and the asymmetric bidirectional pattern of video-down /
 // input-up traffic.
+//
+// Ownership. The filter sits in front of everything, and nearly every
+// five-tuple it tracks is not a game stream, so a tracked tuple is a
+// pointer-free record inside the Table (table.go) and nothing else: the
+// table owns it, nobody outside ever holds it, and it goes when the flow is
+// removed or expires. A Flow — the public, pointer-carrying account — is
+// born at a Gaming verdict and only there; the table updates it while the
+// flow is tracked, and whoever kept the pointer (a session, a report) owns
+// it afterwards.
 package flowdetect
 
 import (
@@ -107,8 +116,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Flow is the tracked state of one bidirectional transport conversation,
-// keyed canonically.
+// Flow is the account of one bidirectional transport conversation, keyed
+// canonically. The table keeps one per Gaming flow, allocated at the verdict
+// (a Pending or Rejected flow has only Table.Lookup's copy).
 type Flow struct {
 	Key      packet.FlowKey // canonical
 	State    State
@@ -124,52 +134,35 @@ type Flow struct {
 
 // DownMbps returns the mean downstream rate over the flow's lifetime.
 func (f *Flow) DownMbps() float64 {
-	d := f.LastSeen.Sub(f.FirstSeen).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(f.DownBytes) * 8 / d / 1e6
+	return downMbps(f.DownBytes, f.LastSeen.Sub(f.FirstSeen))
 }
 
 // MeanDownPayload returns the mean downstream payload size.
 func (f *Flow) MeanDownPayload() float64 {
-	if f.DownPkts == 0 {
+	return meanPayload(f.DownBytes, f.DownPkts)
+}
+
+// downMbps and meanPayload are the signature's two rates, shared by the
+// public Flow and the table's records so a verdict and a report agree to
+// the bit.
+func downMbps(bytes int64, lifetime time.Duration) float64 {
+	d := lifetime.Seconds()
+	if d <= 0 {
 		return 0
 	}
-	return float64(f.DownBytes) / float64(f.DownPkts)
+	return float64(bytes) * 8 / d / 1e6
+}
+
+func meanPayload(bytes int64, pkts int) float64 {
+	if pkts == 0 {
+		return 0
+	}
+	return float64(bytes) / float64(pkts)
 }
 
 // String summarizes the flow.
 func (f *Flow) String() string {
 	return fmt.Sprintf("%v [%v/%v] down=%d up=%d %.1fMbps", f.Key, f.State, f.Platform, f.DownPkts, f.UpPkts, f.DownMbps())
-}
-
-// Detector tracks flows and applies the gaming signature.
-type Detector = Table[struct{}]
-
-// New returns a detector with the given configuration.
-func New(cfg Config) *Detector { return NewTable[struct{}](cfg) }
-
-// Table is the detector with one caller-owned pointer per tracked flow:
-// each table entry carries a *S beside its Flow record, handed back by
-// ObserveSummary, so a caller that keeps per-flow state of its own (the
-// pipeline's sessions) finds it with the detector's map lookup instead of
-// repeating the lookup in a second map. The Flow record stays a separate
-// plain allocation — it never points at S, so a report that retains a *Flow
-// past eviction retains nothing else.
-type Table[S any] struct {
-	cfg   Config
-	flows map[packet.FlowKey]entry[S]
-}
-
-type entry[S any] struct {
-	flow *Flow
-	sess *S
-}
-
-// NewTable returns a detector whose entries can each carry a *S.
-func NewTable[S any](cfg Config) *Table[S] {
-	return &Table[S]{cfg: cfg.withDefaults(), flows: make(map[packet.FlowKey]entry[S])}
 }
 
 // platformFor maps a server port to its platform.
@@ -185,7 +178,7 @@ func platformFor(port uint16) Platform {
 // knownServerPort picks the endpoint of a flow's first frame that looks
 // like the server: the port matching a platform signature (the frame's
 // source first), else the numerically smaller port.
-func (d *Table[S]) knownServerPort(src, dst uint16) uint16 {
+func knownServerPort(src, dst uint16) uint16 {
 	if platformFor(src) != PlatformUnknown {
 		return src
 	}
@@ -197,122 +190,3 @@ func (d *Table[S]) knownServerPort(src, dst uint16) uint16 {
 	}
 	return dst
 }
-
-// Observe feeds one decoded frame with its capture timestamp and transport
-// payload. It returns the flow's state after the update. Non-UDP and non-IP
-// frames are ignored (state Rejected).
-func (d *Table[S]) Observe(ts time.Time, dec *packet.Decoded, payload []byte) State {
-	var s packet.Summary
-	dec.SummaryInto(payload, &s)
-	f, _ := d.ObserveSummary(ts, &s)
-	if f == nil {
-		return Rejected
-	}
-	return f.State
-}
-
-// ObserveSummary feeds one frame summary with its capture timestamp and
-// returns the flow's record after the update, with whatever Attach hung on
-// its entry. Non-UDP frames are ignored: (nil, nil).
-func (d *Table[S]) ObserveSummary(ts time.Time, s *packet.Summary) (*Flow, *S) {
-	if !s.UDP {
-		return nil, nil
-	}
-	e := d.flows[s.Key]
-	f := e.flow
-	if f == nil {
-		f = &Flow{Key: s.Key, FirstSeen: ts, ServerPort: d.knownServerPort(s.SrcPort(), s.DstPort())}
-		d.flows[s.Key] = entry[S]{flow: f}
-	}
-	f.LastSeen = ts
-	if s.SrcPort() == f.ServerPort {
-		f.DownPkts++
-		f.DownBytes += int64(s.PayloadLen)
-		f.RTPSeen++
-		if s.RTP {
-			f.RTPValid++
-		}
-	} else {
-		f.UpPkts++
-		f.UpBytes += int64(s.PayloadLen)
-	}
-	if f.State == Pending && f.DownPkts >= d.cfg.MinDownPkts {
-		d.judge(f)
-	}
-	return f, e.sess
-}
-
-// Attach hangs sess on the tracked flow's table entry (a no-op for an
-// untracked key); every later ObserveSummary of the flow returns it until
-// the entry is removed.
-func (d *Table[S]) Attach(key packet.FlowKey, sess *S) {
-	if e, ok := d.flows[key]; ok {
-		e.sess = sess
-		d.flows[key] = e
-	}
-}
-
-// judge applies the signature once enough downstream evidence exists.
-func (d *Table[S]) judge(f *Flow) {
-	plat := platformFor(f.ServerPort)
-	if d.cfg.RequireKnownPort && plat == PlatformUnknown {
-		f.State = Rejected
-		return
-	}
-	if f.MeanDownPayload() < minMeanPayload ||
-		f.DownMbps() < minDownMbps ||
-		float64(f.RTPValid)/float64(f.RTPSeen) < minRTPValidFrac {
-		f.State = Rejected
-		return
-	}
-	f.State = Gaming
-	f.Platform = plat
-}
-
-// Flow returns the tracked flow for a (possibly non-canonical) key, or nil.
-func (d *Table[S]) Flow(key packet.FlowKey) *Flow {
-	return d.flows[key.Canonical()].flow
-}
-
-// GamingFlows returns all flows currently in the Gaming state.
-func (d *Table[S]) GamingFlows() []*Flow {
-	var out []*Flow
-	for _, e := range d.flows {
-		if e.flow.State == Gaming {
-			out = append(out, e.flow)
-		}
-	}
-	return out
-}
-
-// Remove drops the tracked flow for a (possibly non-canonical) key, if any.
-// The pipeline calls it as it finalizes a gaming session — eviction or
-// Finish — so the detector entry is freed with the session rather than
-// waiting out the idle cutoff.
-func (d *Table[S]) Remove(key packet.FlowKey) {
-	delete(d.flows, key.Canonical())
-}
-
-// Reset drops every tracked flow — gaming, pending and rejected alike.
-// The pipeline calls it from Finish: rejected flows are never removed
-// individually (nothing references them back), so only a full reset makes
-// end-of-input actually free the whole filter table.
-func (d *Table[S]) Reset() {
-	d.flows = make(map[packet.FlowKey]entry[S])
-}
-
-// Expire drops flows idle since before cutoff and returns how many were
-// removed; long-running monitors call this periodically.
-func (d *Table[S]) Expire(cutoff time.Time) int {
-	n := 0
-	for k, e := range d.flows {
-		if e.flow.LastSeen.Before(cutoff) {
-			delete(d.flows, k)
-			n++
-		}
-	}
-	return n
-}
-
-// NumFlows returns the number of tracked flows.
-func (d *Table[S]) NumFlows() int { return len(d.flows) }

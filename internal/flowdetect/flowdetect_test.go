@@ -13,7 +13,8 @@ import (
 )
 
 // feedStream replays count downstream video packets and count/20 upstream
-// packets for one synthetic flow at rate pps, returning the detector flow.
+// packets for one synthetic flow at rate pps, returning the detector's
+// account of the flow (nil if it tracks none).
 func feedStream(t *testing.T, d *Detector, serverPort uint16, payloadSize, count int, rtpValid bool) *Flow {
 	t.Helper()
 	server := netip.AddrFrom4([4]byte{203, 0, 113, 10})
@@ -47,7 +48,11 @@ func feedStream(t *testing.T, d *Detector, serverPort uint16, payloadSize, count
 			d.Observe(ts, &up, inRTP.AppendTo(nil, make([]byte, 60)))
 		}
 	}
-	return d.Flow(dec.Flow())
+	f, ok := d.Lookup(dec.Flow())
+	if !ok {
+		return nil
+	}
+	return &f
 }
 
 func TestDetectsGeForceNOWStream(t *testing.T) {
@@ -114,7 +119,7 @@ func TestRejectsSlowFlow(t *testing.T) {
 		// 10 pps: ~0.1 Mbps, below the 1.5 Mbps floor.
 		d.Observe(base.Add(time.Duration(i)*100*time.Millisecond), &dec, pl)
 	}
-	if f := d.Flow(dec.Flow()); f.State != Rejected {
+	if f, _ := d.Lookup(dec.Flow()); f.State != Rejected {
 		t.Errorf("state = %v, want rejected for 0.1 Mbps flow", f.State)
 	}
 }
@@ -199,41 +204,92 @@ func TestDetectorOnGeneratedPCAP(t *testing.T) {
 	}
 }
 
-// TestTableAttach pins the entry's caller-owned slot: what Attach hangs on a
-// tracked flow comes back from every later ObserveSummary of either
-// direction, goes when the entry goes, and never reaches the Flow record.
-func TestTableAttach(t *testing.T) {
-	type session struct{ id int }
-	d := NewTable[session](Config{})
-	base := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
-	down := packet.Summary{
-		Key: packet.FlowKey{
-			Src: netip.AddrFrom4([4]byte{10, 1, 1, 2}), Dst: netip.AddrFrom4([4]byte{203, 0, 113, 10}),
+// gamingSummaries returns the two directions of one flow that meets the
+// streaming signature when fed fast enough: 1200-byte RTP down from a
+// GeForce NOW port, 60-byte up.
+func gamingSummaries(client byte) (down, up packet.Summary) {
+	down = packet.Summary{
+		Key: packet.TupleOf(packet.FlowKey{
+			Src: netip.AddrFrom4([4]byte{10, 1, 1, client}), Dst: netip.AddrFrom4([4]byte{203, 0, 113, 10}),
 			SrcPort: 50000, DstPort: 49004, Proto: packet.ProtoUDP,
-		},
+		}),
 		PayloadLen: 1200, Reversed: true, UDP: true, RTP: true,
 	}
-	up := down
+	up = down
 	up.Reversed, up.PayloadLen = false, 60
+	return down, up
+}
 
-	f, s := d.ObserveSummary(base, &down)
-	if f == nil || s != nil || f.ServerPort != 49004 || f.DownPkts != 1 {
-		t.Fatalf("first frame: flow %v, attachment %v", f, s)
-	}
+// TestTableAttach pins the caller-owned slot beside a Gaming flow: nothing
+// hangs on a flow before its verdict, what Attach hangs afterwards comes back
+// from every later ObserveSummary of either direction with the same Flow,
+// goes when the entry goes, and never reaches the Flow record.
+func TestTableAttach(t *testing.T) {
+	type session struct{ id int }
+	d := NewTable[session](Config{MinDownPkts: 3})
+	base := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	down, up := gamingSummaries(2)
+	key := down.Key.FlowKey()
 	mine := &session{id: 7}
-	d.Attach(down.Key, mine)
-	d.Attach(up.Key.Reverse(), &session{id: 8}) // not a tracked (canonical) key: no-op
-	if f2, s := d.ObserveSummary(base.Add(time.Millisecond), &up); f2 != f || s != mine || f.UpPkts != 1 {
-		t.Fatalf("second frame: flow %p (want %p), attachment %v, up=%d", f2, f, s, f.UpPkts)
+
+	if st, f, s := d.ObserveSummary(base, &down); st != Pending || f != nil || s != nil {
+		t.Fatalf("first frame: %v, flow %v, attachment %v", st, f, s)
+	}
+	d.Attach(key, mine) // no verdict yet: nothing to hang it on
+	d.ObserveSummary(base.Add(time.Millisecond), &up)
+	d.ObserveSummary(base.Add(2*time.Millisecond), &down)
+	st, f, s := d.ObserveSummary(base.Add(3*time.Millisecond), &down)
+	if st != Gaming || f == nil || s != nil {
+		t.Fatalf("verdict frame: %v, flow %v, attachment %v", st, f, s)
+	}
+	if f.Key != key || f.ServerPort != 49004 || f.DownPkts != 3 || f.UpPkts != 1 || f.Platform != GeForceNOW ||
+		f.FirstSeen != base || f.LastSeen != base.Add(3*time.Millisecond) {
+		t.Fatalf("the verdict's Flow does not carry the record's account: %+v", f)
+	}
+
+	d.Attach(key, mine)
+	d.Attach(key.Reverse(), &session{id: 8}) // not a tracked (canonical) key: no-op
+	if st, f2, s := d.ObserveSummary(base.Add(4*time.Millisecond), &up); st != Gaming || f2 != f || s != mine || f.UpPkts != 2 {
+		t.Fatalf("next frame: %v, flow %p (want %p), attachment %v, up=%d", st, f2, f, s, f.UpPkts)
 	}
 	if n := d.Expire(base.Add(time.Second)); n != 1 {
 		t.Fatalf("Expire removed %d flows, want 1", n)
 	}
-	if f3, s := d.ObserveSummary(base.Add(2*time.Second), &down); f3 == f || s != nil {
-		t.Fatalf("after expiry: reused flow record (%v) or kept attachment %v", f3 == f, s)
+	if st, f3, s := d.ObserveSummary(base.Add(2*time.Second), &down); st != Pending || f3 != nil || s != nil {
+		t.Fatalf("after expiry: %v, flow %v, attachment %v; want a fresh pending record", st, f3, s)
+	}
+	if f.DownPkts != 3 || len(d.GamingFlows()) != 0 {
+		t.Errorf("the expired flow's Flow was touched (down=%d) or is still listed", f.DownPkts)
 	}
 	tcp := packet.Summary{Key: down.Key, PayloadLen: 100}
-	if f, s := d.ObserveSummary(base, &tcp); f != nil || s != nil {
-		t.Errorf("non-UDP summary tracked: %v %v", f, s)
+	if st, f, s := d.ObserveSummary(base, &tcp); st != Rejected || f != nil || s != nil {
+		t.Errorf("non-UDP summary tracked: %v %v %v", st, f, s)
+	}
+}
+
+// TestLateFrameKeepsLastSeen pins the table's monotone last-seen: a frame
+// delivered late is counted but cannot age its flow — Pending, Rejected or
+// Gaming — toward an expiry it has not earned.
+func TestLateFrameKeepsLastSeen(t *testing.T) {
+	d := New(Config{MinDownPkts: 3})
+	base := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	down, _ := gamingSummaries(2)
+	slow, _ := gamingSummaries(3) // the same frames a second apart: rejected as too slow
+	for i := 0; i < 4; i++ {
+		d.ObserveSummary(base.Add(10*time.Second+time.Duration(i)*time.Millisecond), &down)
+		d.ObserveSummary(base.Add(time.Duration(7+i)*time.Second), &slow)
+	}
+	d.ObserveSummary(base, &down) // both delivered ten seconds late
+	d.ObserveSummary(base, &slow)
+	g, _ := d.Lookup(down.Key.FlowKey())
+	r, _ := d.Lookup(slow.Key.FlowKey())
+	if g.State != Gaming || g.DownPkts != 5 || !g.LastSeen.Equal(base.Add(10*time.Second+3*time.Millisecond)) {
+		t.Errorf("gaming flow after a late frame: %v down=%d last=%v", g.State, g.DownPkts, g.LastSeen)
+	}
+	if r.State != Rejected || !r.LastSeen.Equal(base.Add(10*time.Second)) {
+		t.Errorf("rejected flow after a late frame: %v last=%v", r.State, r.LastSeen)
+	}
+	if n := d.Expire(base.Add(5 * time.Second)); n != 0 || d.NumFlows() != 2 {
+		t.Errorf("a late frame cost %d flows their entries", n)
 	}
 }

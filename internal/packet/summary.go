@@ -2,26 +2,24 @@ package packet
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
-	"net/netip"
 )
 
 // Summary is everything the analysis path reads of one frame: which
 // conversation it belongs to, which way it travelled, and how much transport
 // payload it carried. The method never looks at payload content beyond the
-// RTP header probe, so a Summary — a fixed-size value with no view into the
-// frame — is all that has to outlive the capture buffer (the engine hands
-// summaries, not frame bytes, to its shards).
+// RTP header probe, so a Summary — 48 plain bytes with no pointer and no view
+// into the frame — is all that has to outlive the capture buffer (the engine
+// hands summaries, not frame bytes, to its shards).
 type Summary struct {
 	// Key is the canonical five-tuple (FlowKey.Canonical of the frame's
-	// own): the zero key for non-IP frames, addresses only for transports
-	// this package does not parse.
-	Key FlowKey
+	// own, in tuple form): the zero Tuple for non-IP frames, addresses only
+	// for transports this package does not parse.
+	Key Tuple
 	// PayloadLen is the transport payload length Decode would return.
-	PayloadLen int
-	// Reversed reports that the frame travelled from Key.Dst to Key.Src,
-	// i.e. its own five-tuple is Key.Reverse().
+	PayloadLen int32
+	// Reversed reports that the frame travelled from Key's destination to
+	// its source, i.e. its own five-tuple is Key.FlowKey().Reverse().
 	Reversed bool
 	// UDP reports a UDP datagram over IPv4 or IPv6.
 	UDP bool
@@ -32,26 +30,27 @@ type Summary struct {
 // SrcPort returns the transport source port of the frame itself.
 func (s *Summary) SrcPort() uint16 {
 	if s.Reversed {
-		return s.Key.DstPort
+		return s.Key.dstPort()
 	}
-	return s.Key.SrcPort
+	return s.Key.srcPort()
 }
 
 // DstPort returns the transport destination port of the frame itself.
 func (s *Summary) DstPort() uint16 {
 	if s.Reversed {
-		return s.Key.SrcPort
+		return s.Key.srcPort()
 	}
-	return s.Key.DstPort
+	return s.Key.dstPort()
 }
 
 // Summarize parses an Ethernet frame straight into its Summary in one pass:
-// no layer structs, no options copy, no payload slice. It accepts and
-// rejects exactly the frames Decode does, and on the accepted ones s equals
-// Decoded.SummaryInto of the decode (FuzzSummarize holds the two together).
-// Rejections are the package's bare sentinel errors — frames come off the
-// wire, so the reject path must cost an adversary's input nothing to report.
-// s is written only on success.
+// no layer structs, no options copy, no payload slice, and the canonical
+// five-tuple written off the wire bytes with no netip.Addr in between. It
+// accepts and rejects exactly the frames Decode does, and on the accepted
+// ones s equals Decoded.SummaryInto of the decode (FuzzSummarize holds the
+// two together). Rejections are the package's bare sentinel errors — frames
+// come off the wire, so the reject path must cost an adversary's input
+// nothing to report. s is written only on success.
 //
 //gamelens:noalloc
 func Summarize(b []byte, s *Summary) error {
@@ -60,8 +59,7 @@ func Summarize(b []byte, s *Summary) error {
 	}
 	ip := b[EthernetHeaderLen:]
 	var (
-		src, dst netip.Addr
-		order    int // src compared to dst, as netip.Addr.Compare orders them
+		src, dst []byte // the addresses as the header has them: 4 bytes each, or 16
 		proto    IPProto
 		rest     []byte
 	)
@@ -81,9 +79,7 @@ func Summarize(b []byte, s *Summary) error {
 		if end > len(ip) {
 			end = len(ip) // truncated capture: what we have
 		}
-		src = netip.AddrFrom4([4]byte(ip[12:16]))
-		dst = netip.AddrFrom4([4]byte(ip[16:20]))
-		order = cmp.Compare(binary.BigEndian.Uint32(ip[12:16]), binary.BigEndian.Uint32(ip[16:20]))
+		src, dst = ip[12:16], ip[16:20]
 		proto = IPProto(ip[9])
 		rest = ip[ihl:end]
 	case EtherTypeIPv6:
@@ -97,13 +93,11 @@ func Summarize(b []byte, s *Summary) error {
 		if end > len(ip) {
 			end = len(ip)
 		}
-		src = netip.AddrFrom16([16]byte(ip[8:24]))
-		dst = netip.AddrFrom16([16]byte(ip[24:40]))
-		order = bytes.Compare(ip[8:24], ip[24:40])
+		src, dst = ip[8:24], ip[24:40]
 		proto = IPProto(ip[6])
 		rest = ip[IPv6HeaderLen:end]
 	default:
-		*s = Summary{PayloadLen: len(ip)}
+		*s = Summary{PayloadLen: int32(len(ip))}
 		return nil
 	}
 	var (
@@ -140,7 +134,36 @@ func Summarize(b []byte, s *Summary) error {
 		sport = binary.BigEndian.Uint16(rest[0:2])
 		dport = binary.BigEndian.Uint16(rest[2:4])
 	}
-	s.set(src, dst, sport, dport, proto, order, payload, udp)
+
+	// FlowKey.Canonical's order, the smaller (addr, port) endpoint first:
+	// both addresses are of one family, so netip.Addr.Compare is the byte
+	// order of what the header holds.
+	order := bytes.Compare(src, dst)
+	reversed := order > 0 || order == 0 && sport > dport
+	if reversed {
+		src, dst, sport, dport = dst, src, dport, sport
+	}
+	*s = Summary{
+		PayloadLen: int32(len(payload)),
+		Reversed:   reversed,
+		UDP:        udp,
+		RTP:        udp && LooksLikeRTP(payload),
+	}
+	k := &s.Key
+	if len(src) == 4 {
+		k[tupSrc+10], k[tupSrc+11] = 0xff, 0xff
+		copy(k[tupSrc+12:tupSrc+16], src)
+		k[tupDst+10], k[tupDst+11] = 0xff, 0xff
+		copy(k[tupDst+12:tupDst+16], dst)
+		k[tupKinds] = kindIP4 | kindIP4<<2
+	} else {
+		copy(k[tupSrc:tupSrc+16], src)
+		copy(k[tupDst:tupDst+16], dst)
+		k[tupKinds] = kindIP6 | kindIP6<<2
+	}
+	binary.BigEndian.PutUint16(k[tupSrcPort:], sport)
+	binary.BigEndian.PutUint16(k[tupDstPort:], dport)
+	k[tupProto] = byte(proto)
 	return nil
 }
 
@@ -148,27 +171,13 @@ func Summarize(b []byte, s *Summary) error {
 // is payload (normally d.Payload; the pipeline entry points take it
 // separately) into s.
 func (d *Decoded) SummaryInto(payload []byte, s *Summary) {
-	if !d.HasIP4 && !d.HasIP6 {
-		*s = Summary{PayloadLen: len(payload)}
-		return
-	}
-	src, dst := d.SrcAddr(), d.DstAddr()
-	s.set(src, dst, d.SrcPort(), d.DstPort(), d.Proto(), src.Compare(dst), payload, d.HasUDP)
-}
-
-// set fills s from a frame's own five-tuple, given how its addresses order
-// (src compared to dst), placing the endpoints in FlowKey.Canonical's order:
-// the smaller (addr, port) first.
-func (s *Summary) set(src, dst netip.Addr, sport, dport uint16, proto IPProto, order int, payload []byte, udp bool) {
-	reversed := order > 0 || order == 0 && sport > dport
-	if reversed {
-		src, dst, sport, dport = dst, src, dport, sport
-	}
+	own := d.Flow()
+	key := own.Canonical()
 	*s = Summary{
-		Key:        FlowKey{Src: src, Dst: dst, SrcPort: sport, DstPort: dport, Proto: proto},
-		PayloadLen: len(payload),
-		Reversed:   reversed,
-		UDP:        udp,
-		RTP:        udp && LooksLikeRTP(payload),
+		Key:        TupleOf(key),
+		PayloadLen: int32(len(payload)),
+		Reversed:   key != own,
+		UDP:        d.HasUDP,
+		RTP:        d.HasUDP && LooksLikeRTP(payload),
 	}
 }

@@ -59,7 +59,8 @@ func summaryFrames() map[string][]byte {
 
 // checkSummarize is the differential property: Summarize errs iff Decode
 // errs (with the sentinel Decode's error wraps), and otherwise yields the
-// summary derived from the decode.
+// summary derived from the decode, whose Key converts to the decode's
+// canonical FlowKey and back without loss.
 func checkSummarize(t *testing.T, b []byte) {
 	t.Helper()
 	var d Decoded
@@ -80,8 +81,8 @@ func checkSummarize(t *testing.T, b []byte) {
 	}
 	k := d.Flow()
 	want := Summary{
-		Key:        k.Canonical(),
-		PayloadLen: len(d.Payload),
+		Key:        TupleOf(k.Canonical()),
+		PayloadLen: int32(len(d.Payload)),
 		Reversed:   k != k.Canonical(),
 		UDP:        d.HasUDP,
 		RTP:        d.HasUDP && LooksLikeRTP(d.Payload),
@@ -96,6 +97,13 @@ func checkSummarize(t *testing.T, b []byte) {
 	}
 	if got.SrcPort() != d.SrcPort() || got.DstPort() != d.DstPort() {
 		t.Fatalf("ports %d->%d, Decode has %d->%d on %x", got.SrcPort(), got.DstPort(), d.SrcPort(), d.DstPort(), b)
+	}
+	// The tuple is the FlowKey in other clothes: nothing is lost either way.
+	if back := got.Key.FlowKey(); back != k.Canonical() {
+		t.Fatalf("Key.FlowKey() = %v, Decode's canonical key is %v on %x", back, k.Canonical(), b)
+	}
+	if back := TupleOf(k).FlowKey(); back != k {
+		t.Fatalf("TupleOf(%v).FlowKey() = %v on %x", k, back, b)
 	}
 }
 
